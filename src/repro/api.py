@@ -50,8 +50,7 @@ from repro.match.service import PatternMatcher, SequenceScore, score_database
 from repro.match.store import PatternStore, load_patterns, save_patterns
 from repro.obs import MetricsRegistry, TraceContext, TraceRecorder, activated, current_context
 from repro.obs.aggregate import WorkerTelemetry, absorb_telemetry, capture_telemetry
-from repro.serve.aio import PatternServer
-from repro.serve.aio import serve as _serve_daemon
+from repro.serve.aio import serve
 from repro.stream.miner import StreamMiner, StreamUpdate
 
 __all__ = [
@@ -429,81 +428,3 @@ def mine_stream(
 
     return _updates()
 
-
-def serve(
-    store_path,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    uds=None,
-    stores=None,
-    batch_window_ms: float = 1.0,
-    cache_size: int = 1024,
-    constraint: GapConstraint | None = None,
-    mmap: bool | str = "auto",
-    auto_reload: bool = False,
-    block: bool = True,
-    obs: MetricsRegistry | None = None,
-    trace_out=None,
-    slow_ms: float | None = None,
-) -> PatternServer:
-    """Serve saved pattern stores over TCP / UDS (match / score / rank / top-k).
-
-    Starts a :class:`~repro.serve.aio.PatternServer` — the long-running
-    asyncio scoring daemon — over ``store_path``.  The store is loaded once
-    (zero-copy over a shared read-only mapping where the platform allows,
-    per ``mmap``), compiled into the shared automaton once, and then served
-    over a newline-delimited JSON protocol any language can speak; a
-    ``reload`` request (or ``auto_reload=True``) swaps in a republished
-    store gracefully, reusing the compiled automaton when only supports
-    changed.  Pass ``uds`` to listen on a unix-domain socket next to TCP,
-    and ``stores`` (a ``{name: path}`` mapping) to serve extra namespaces
-    — independently reloadable store slots selected per request with
-    ``{"ns": ...}`` (clients: ``ServeClient(..., ns=...)``); requests
-    without a namespace go to the default slot, which behaves exactly like
-    a single-store daemon.  ``score``/``match`` requests arriving within
-    ``batch_window_ms`` milliseconds share one automaton sweep, and pure
-    query responses are cached (up to ``cache_size`` entries) keyed on the
-    store generation, so a republish invalidates by construction.
-    ``block=True`` (default) serves on the calling thread until shut down;
-    ``block=False`` serves on a background thread and returns the running
-    server (read its ``address`` for the bound port).  Pass an ``obs``
-    :class:`~repro.obs.MetricsRegistry` to collect per-operation and
-    per-namespace request counts, latency histograms, batch-size and
-    cache hit/miss counters (exposed live through the ``stats`` protocol
-    op); by default the server builds its own enabled registry.  When that
-    registry carries a trace recorder, ``trace_out`` appends every
-    completed span to a JSON-lines journal and ``slow_ms`` logs requests
-    slower than the threshold with their trace ids (see
-    :class:`~repro.serve.aio.PatternServer`).
-
-    Example
-    -------
-    >>> import os, tempfile
-    >>> from repro import SequenceDatabase, mine_closed, save_patterns, serve
-    >>> from repro.serve import ServeClient
-    >>> db = SequenceDatabase.from_strings(["AABCDABB", "ABCD"])
-    >>> path = os.path.join(tempfile.mkdtemp(), "patterns.rps")
-    >>> _ = save_patterns(mine_closed(db, 2), path)
-    >>> server = serve(path, block=False)        # daemon thread, ephemeral port
-    >>> with ServeClient(*server.address) as client:
-    ...     client.ping()["patterns"]
-    3
-    >>> server.close()
-    """
-    return _serve_daemon(
-        store_path,
-        host=host,
-        port=port,
-        uds=uds,
-        stores=stores,
-        batch_window_ms=batch_window_ms,
-        cache_size=cache_size,
-        constraint=constraint,
-        mmap=mmap,
-        auto_reload=auto_reload,
-        block=block,
-        obs=obs,
-        trace_out=trace_out,
-        slow_ms=slow_ms,
-    )

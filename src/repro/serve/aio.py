@@ -1,10 +1,8 @@
-"""The asyncio pattern-serving transport (the default ``PatternServer``).
+"""The asyncio pattern-serving daemon (``repro.serve.PatternServer``).
 
 The daemon's brains live in :class:`repro.serve.core.ServeCore`; this
-module is the event-loop shell around them, replacing the
-thread-per-connection transport (:mod:`repro.serve.daemon`) as the facade
-behind ``repro.serve.PatternServer`` while answering every request
-identically — both transports run the same core.
+module is the event-loop shell around them, answering every request
+byte-for-byte like the in-process :meth:`~repro.serve.core.ServeCore.handle_raw`.
 
 What the event loop buys:
 
@@ -30,7 +28,7 @@ operations, the cache fast path; everything that can take real time —
 auto-reload checks, automaton sweeps, store swaps — runs on the pool via
 :meth:`~repro.serve.core.ServeCore.dispatch` or
 :meth:`~repro.serve.core.ServeCore.process_batch`.  Responses are written
-back in arrival order per connection, exactly like the threaded transport.
+back in arrival order per connection.
 """
 
 from __future__ import annotations
@@ -57,6 +55,12 @@ __all__ = ["PatternServer", "serve"]
 #: enough to merge a concurrent burst and short enough to be invisible
 #: next to a sweep.
 DEFAULT_BATCH_WINDOW_MS = 1.0
+
+#: After answering an over-long frame, how much more of the offender's
+#: input the daemon reads and discards — at most this many bytes, for at
+#: most this many seconds — before it closes the connection.
+REJECT_DRAIN_BYTES = 8 * 1024 * 1024
+REJECT_DRAIN_SECONDS = 2.0
 
 
 class PatternServer(ServeCore):
@@ -305,10 +309,9 @@ class PatternServer(ServeCore):
         """One connection's request/response loop until EOF or shutdown.
 
         Responses go back in request order per connection (the loop awaits
-        each response before reading the next frame), matching the
-        threaded transport.  Transport faults — a peer gone mid-write, a
-        frame longer than ``MAX_LINE_BYTES`` — end this connection and
-        nothing else.
+        each response before reading the next frame).  Transport faults —
+        a peer gone mid-write, a frame longer than ``MAX_LINE_BYTES`` — end
+        this connection and nothing else.
         """
         stop_event = self._stop_event
         assert stop_event is not None
@@ -319,28 +322,14 @@ class PatternServer(ServeCore):
                 max_line = MAX_LINE_BYTES
                 try:
                     raw = await reader.readline()
+                    oversized = len(raw) > max_line
                 except ValueError:
                     # The stream limit tripped: an over-long frame.
-                    writer.write(
-                        encode_line(
-                            error_response(
-                                f"request line exceeds {max_line} bytes"
-                            )
-                        )
-                    )
-                    await writer.drain()
+                    raw, oversized = b"", True
+                if oversized:
+                    await _reject_oversized(reader, writer, max_line)
                     break
                 if not raw:
-                    break
-                if len(raw) > max_line:
-                    writer.write(
-                        encode_line(
-                            error_response(
-                                f"request line exceeds {max_line} bytes"
-                            )
-                        )
-                    )
-                    await writer.drain()
                     break
                 raw = raw.strip()
                 if not raw:
@@ -422,6 +411,39 @@ class PatternServer(ServeCore):
         batch_future.add_done_callback(deliver)
 
 
+async def _reject_oversized(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, max_line: int
+) -> None:
+    """Answer an over-long frame with its one error line, then hang up cleanly.
+
+    Closing a socket that still holds unread input makes the kernel send
+    a reset, which can destroy the error line before the peer reads it.
+    So the write side is shut first — the peer reads the error line, then
+    EOF — and the offender's remaining input is read and discarded, within
+    ``REJECT_DRAIN_BYTES`` / ``REJECT_DRAIN_SECONDS``, before the caller
+    closes the connection.
+    """
+    writer.write(
+        encode_line(error_response(f"request line exceeds {max_line} bytes"))
+    )
+    await writer.drain()
+    if writer.can_write_eof():
+        writer.write_eof()
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + REJECT_DRAIN_SECONDS
+    drained = 0
+    while drained < REJECT_DRAIN_BYTES:
+        try:
+            chunk = await asyncio.wait_for(
+                reader.read(64 * 1024), deadline - loop.time()
+            )
+        except asyncio.TimeoutError:
+            return
+        if not chunk:
+            return
+        drained += len(chunk)
+
+
 def serve(
     store_path: PathLike,
     *,
@@ -439,7 +461,24 @@ def serve(
     slow_ms: float | None = None,
     block: bool = True,
 ) -> PatternServer:
-    """Start a pattern-serving daemon over saved stores.
+    """Serve saved pattern stores over TCP / UDS (match / score / rank / top-k).
+
+    Starts a :class:`PatternServer` — the long-running scoring daemon —
+    over ``store_path``.  The store is loaded once (zero-copy over a shared
+    read-only mapping where the platform allows, per ``mmap``), compiled
+    into the shared automaton once, and then served over a
+    newline-delimited JSON protocol any language can speak; a ``reload``
+    request (or ``auto_reload=True``) swaps in a republished store
+    gracefully, reusing the compiled automaton when only supports changed.
+    Pass ``uds`` to listen on a unix-domain socket next to TCP, and
+    ``stores`` (a ``{name: path}`` mapping) to serve extra namespaces —
+    independently reloadable store slots selected per request with
+    ``{"ns": ...}`` (clients: ``ServeClient(..., ns=...)``).
+    ``score``/``match`` requests arriving within ``batch_window_ms``
+    milliseconds share one automaton sweep, and pure query responses are
+    cached (up to ``cache_size`` entries) keyed on the store generation,
+    so a republish invalidates by construction.  ``obs``, ``trace_out``
+    and ``slow_ms`` configure telemetry as on :class:`PatternServer`.
 
     ``block=True`` (default) serves on the calling thread until
     :meth:`PatternServer.shutdown` (or a ``shutdown`` request) stops it,
@@ -447,6 +486,20 @@ def serve(
     background thread and returns the running :class:`PatternServer`
     immediately — read :attr:`PatternServer.address` for the bound port
     (and :attr:`PatternServer.uds_path` for the socket path, if any).
+
+    Example
+    -------
+    >>> import os, tempfile
+    >>> from repro import SequenceDatabase, mine_closed, save_patterns, serve
+    >>> from repro.serve import ServeClient
+    >>> db = SequenceDatabase.from_strings(["AABCDABB", "ABCD"])
+    >>> path = os.path.join(tempfile.mkdtemp(), "patterns.rps")
+    >>> _ = save_patterns(mine_closed(db, 2), path)
+    >>> server = serve(path, block=False)        # daemon thread, ephemeral port
+    >>> with ServeClient(*server.address) as client:
+    ...     client.ping()["patterns"]
+    3
+    >>> server.close()
     """
     server = PatternServer(
         store_path,

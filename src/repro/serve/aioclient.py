@@ -25,14 +25,9 @@ from __future__ import annotations
 import asyncio
 from typing import Any, cast
 
-from repro.obs import MetricsRegistry, current_context
-from repro.serve.client import ServeError
-from repro.serve.protocol import (
-    MAX_LINE_BYTES,
-    PingInfo,
-    decode_line,
-    encode_line,
-)
+from repro.obs import MetricsRegistry
+from repro.serve.client import decode_response, encode_request
+from repro.serve.protocol import MAX_LINE_BYTES, PingInfo
 
 __all__ = ["AsyncServeClient"]
 
@@ -141,15 +136,8 @@ class AsyncServeClient:
         await self.connect()
         reader, writer = self._reader, self._writer
         assert reader is not None and writer is not None
-        payload: dict[str, Any] = {"op": op}
-        payload.update(params)
-        if self.ns is not None:
-            payload.setdefault("ns", self.ns)
-        context = current_context()
-        if context is not None:
-            payload.setdefault("trace", context.to_wire())
         try:
-            writer.write(encode_line(payload))
+            writer.write(encode_request(op, params, self.ns))
             await asyncio.wait_for(writer.drain(), self.timeout)
             line = await asyncio.wait_for(reader.readline(), self.timeout)
         except Exception:
@@ -157,11 +145,7 @@ class AsyncServeClient:
             raise
         if not line:
             await self.close()
-            raise ServeError(f"connection closed by the daemon during {op!r}")
-        response = decode_line(line)
-        if not response.get("ok"):
-            raise ServeError(response.get("error", "unknown daemon error"))
-        return response
+        return decode_response(line, op)
 
     # ------------------------------------------------------------------
     # Operations (the sync client's surface, awaited)

@@ -33,8 +33,37 @@ class ServeError(RuntimeError):
     """An error response from the serving daemon, or a broken connection."""
 
 
+def encode_request(op: str, params: dict[str, Any], ns: str | None) -> bytes:
+    """The request line for ``op``, stamped with ``ns`` and the ambient trace context.
+
+    Neither stamp overrides an ``ns`` / ``trace`` already in ``params``.
+    """
+    payload: dict[str, Any] = {"op": op}
+    payload.update(params)
+    if ns is not None:
+        payload.setdefault("ns", ns)
+    context = current_context()
+    if context is not None:
+        payload.setdefault("trace", context.to_wire())
+    return encode_line(payload)
+
+
+def decode_response(line: bytes, op: str) -> dict[str, Any]:
+    """The success payload of response ``line`` to ``op``, or :class:`ServeError`.
+
+    An empty ``line`` is the daemon closing the connection mid-request;
+    ``{"ok": false}`` carries the daemon's error message.
+    """
+    if not line:
+        raise ServeError(f"connection closed by the daemon during {op!r}")
+    response = decode_line(line)
+    if not response.get("ok"):
+        raise ServeError(response.get("error", "unknown daemon error"))
+    return response
+
+
 class ServeClient:
-    """A persistent connection to a :class:`~repro.serve.daemon.PatternServer`.
+    """A persistent connection to a :class:`~repro.serve.aio.PatternServer`.
 
     Parameters
     ----------
@@ -149,15 +178,8 @@ class ServeClient:
     def _request(self, op: str, params: dict[str, Any]) -> dict[str, Any]:
         """The untraced request primitive ``request`` wraps."""
         self.connect()
-        payload: dict[str, Any] = {"op": op}
-        payload.update(params)
-        if self.ns is not None:
-            payload.setdefault("ns", self.ns)
-        context = current_context()
-        if context is not None:
-            payload.setdefault("trace", context.to_wire())
         try:
-            self._file.write(encode_line(payload))
+            self._file.write(encode_request(op, params, self.ns))
             self._file.flush()
             line = self._file.readline()
         except Exception:
@@ -165,11 +187,7 @@ class ServeClient:
             raise
         if not line:
             self.close()
-            raise ServeError(f"connection closed by the daemon during {op!r}")
-        response = decode_line(line)
-        if not response.get("ok"):
-            raise ServeError(response.get("error", "unknown daemon error"))
-        return response
+        return decode_response(line, op)
 
     # ------------------------------------------------------------------
     # Operations

@@ -1,14 +1,14 @@
-"""Transport-agnostic request engine shared by every serving daemon.
+"""Transport-agnostic request engine of the serving daemon.
 
 :class:`ServeCore` is the part of the pattern-serving daemon that does not
 care how bytes arrive: it owns the loaded stores, routes requests to
 operations, records telemetry, and turns every request line into exactly
-one response line.  Both transports are thin shells over it — the
-:class:`~repro.serve.daemon.ThreadedPatternServer` socketserver loop and
-the asyncio :class:`~repro.serve.aio.PatternServer` event loop — so the
-wire behaviour of the two daemons is identical by construction.
+one response line.  The asyncio :class:`~repro.serve.aio.PatternServer`
+is a thin event-loop shell over it, and :meth:`ServeCore.handle_raw`
+drives the same engine in-process with no socket at all — the reference
+every served byte is checked against.
 
-Three serving features live here because every transport needs them:
+Three serving features live here, apart from any transport:
 
 * **Namespaces** — one daemon, many mmap'd stores.  Each namespace is an
   independently reloadable ``(store, matcher)`` pair keyed by name; a
@@ -564,8 +564,8 @@ class ServeCore:
     def dispatch(self, ticket: RequestTicket) -> dict[str, Any]:
         """Compute one ticket's response dict; never raises.
 
-        Runs on whatever thread the transport chose (a handler thread, an
-        executor worker).  The ticket's trace context is ambient for the
+        Runs on whatever thread the caller chose (the daemon's executor
+        workers, or the caller's own thread for :meth:`handle_raw`).  The ticket's trace context is ambient for the
         duration, so matcher spans nest beneath the operation span that
         :meth:`finish` records.
         """
@@ -693,8 +693,8 @@ class ServeCore:
         Never raises: protocol violations and handler errors come back as
         ``{"ok": false, "error": ...}`` responses so one bad request cannot
         take the daemon down.  This is begin → dispatch → finish in
-        sequence — what both transports run for non-batched requests, and
-        what embedding callers (tests, tools) use directly.
+        sequence — what the daemon runs for a non-batched request, and what
+        embedding callers (tests, tools) use directly.
         """
         ticket = self.begin(raw)
         response = self.dispatch(ticket)
@@ -726,7 +726,7 @@ class ServeCore:
         if len(tickets) == 1:
             # A batch of one gains nothing from the combined-sweep path;
             # plain dispatch keeps its trace tree (op span → match span)
-            # identical to the unbatched transports'.
+            # identical to the unbatched path's.
             ticket = tickets[0]
             response = self.dispatch(ticket)
             if self.obs.enabled:

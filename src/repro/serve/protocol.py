@@ -8,7 +8,7 @@ callers that pipeline); a response is ``{"ok": true, ...payload}`` or
 with a socket and a JSON parser can speak to the daemon — no schema
 compiler, no dependency.
 
-Operations (see :class:`repro.serve.daemon.PatternServer` for semantics):
+Operations (see :class:`repro.serve.aio.PatternServer` for semantics):
 
 ``ping``
     Liveness + store snapshot (pattern count, reload counters).

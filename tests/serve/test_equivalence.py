@@ -9,7 +9,6 @@ encoders — for:
 * the embedded :meth:`ServeCore.handle_raw` path,
 * the asyncio daemon over TCP,
 * the same daemon over its unix-domain socket,
-* the PR-5 threaded daemon (``ThreadedPatternServer``),
 * the micro-batched dispatch path (one amortised automaton sweep), both
   driven directly through :meth:`ServeCore.process_batch` and provoked
   live with concurrent clients against a wide batch window,
@@ -30,7 +29,7 @@ from repro.db.database import SequenceDatabase
 from repro.db.sequence import as_sequence
 from repro.match.service import PatternMatcher
 from repro.match.store import PatternStore, load_patterns
-from repro.serve import PatternServer, ThreadedPatternServer
+from repro.serve import PatternServer
 from repro.serve.core import ServeCore
 from repro.serve.protocol import (
     encode_line,
@@ -91,7 +90,7 @@ def uds_exchange(path, lines: list[bytes]) -> list[bytes]:
 
 class TestTransportEquivalence:
     def test_every_transport_matches_the_embedded_core(self, store_file, uds_path):
-        """aio-TCP == aio-UDS == threaded-TCP == in-process handle_raw."""
+        """aio-TCP == aio-UDS == in-process handle_raw."""
         lines = [encode_line(req) for req in WIRE_REQUESTS]
         oracle_core = ServeCore(store_file)
         expected = [oracle_core.handle_raw(line)[0] for line in lines]
@@ -99,16 +98,13 @@ class TestTransportEquivalence:
         with PatternServer(store_file, uds=uds_path) as aio:
             via_tcp = tcp_exchange(aio.address, lines)
             via_uds = uds_exchange(uds_path, lines)
-        with ThreadedPatternServer(store_file) as threaded:
-            via_threaded = tcp_exchange(threaded.address, lines)
 
-        for request, want, tcp, uds, legacy in zip(
-            WIRE_REQUESTS, expected, via_tcp, via_uds, via_threaded
+        for request, want, tcp, uds in zip(
+            WIRE_REQUESTS, expected, via_tcp, via_uds, strict=True
         ):
             label = request["id"]
             assert tcp == want, f"aio TCP diverged on {label}"
             assert uds == want, f"aio UDS diverged on {label}"
-            assert legacy == want, f"threaded daemon diverged on {label}"
 
     def test_success_responses_match_in_process_matcher(self, store_file):
         """The daemons are a wire skin over PatternMatcher — prove it."""

@@ -87,22 +87,33 @@ class TestClientFaults:
     def test_endless_unframed_stream_cannot_wedge_the_daemon(
         self, store_file, monkeypatch
     ):
-        """A newline-free firehose hits the line cap, not the daemon's memory."""
+        """A newline-free firehose hits the line cap, not the daemon's memory.
+
+        The offender still gets exactly one response line — the error —
+        followed by EOF: the daemon shuts its write side and drains the
+        rest of the flood before closing, so no reset can overtake the
+        error line.
+        """
         from repro.serve import aio as aio_module
 
         monkeypatch.setattr(aio_module, "MAX_LINE_BYTES", 4096)
         with PatternServer(store_file) as server:
-            sock, stream = raw_connection(server)
+            sock = socket.create_connection(server.address, timeout=30)
+            # A read-only stream: closing it never flushes into the socket.
+            reader = sock.makefile("rb")
             try:
                 for _ in range(64):  # far beyond the cap, never a newline
-                    stream.write(b"x" * 1024)
-                    stream.flush()
-                response = json.loads(stream.readline())
+                    sock.sendall(b"x" * 1024)
+                response = json.loads(reader.readline())
                 assert response["ok"] is False
-            except (BrokenPipeError, ConnectionResetError):
-                pass  # daemon already hung up on the flood — also fine
+                assert "exceeds 4096 bytes" in response["error"]
+                try:
+                    trailing = reader.readline()
+                except ConnectionResetError:
+                    trailing = b""  # a reset after the error line is a hang-up too
+                assert trailing == b"", "more than one response line"
             finally:
-                stream.close()
+                reader.close()
                 sock.close()
             with ServeClient(*server.address) as client:
                 assert client.ping()["ok"] is True

@@ -62,7 +62,7 @@ class FileContext:
     """Everything a rule needs to know about one source file."""
 
     path: Path
-    #: POSIX-style path used for target matching (e.g. ``repro/serve/daemon.py``).
+    #: POSIX-style path used for target matching (e.g. ``repro/serve/core.py``).
     rel_posix: str
     source: str
     tree: ast.Module

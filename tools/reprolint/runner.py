@@ -16,7 +16,7 @@ def _iter_files(paths: list[Path]) -> list[tuple[Path, str]]:
 
     ``rel_posix`` is the path rules match against: relative to the scanned
     root with any leading ``src/`` stripped, so targets read
-    ``repro/serve/daemon.py`` whether the tool is pointed at ``src/`` or at
+    ``repro/serve/core.py`` whether the tool is pointed at ``src/`` or at
     the repo root.
     """
     files: list[tuple[Path, str]] = []
