@@ -1,11 +1,11 @@
 """Compressed vs full-landmark engine: growth speed and peak memory.
 
-``store_instances=False`` (the default) runs the miners on the Section III-D
-``(i, l1, lm)`` triples; ``store_instances=True`` runs on full ``m``-wide
-landmark rows.  These benchmarks quantify the difference on a long-pattern
-workload — the regime the compressed representation exists for, where the
-full engine pays O(pattern_length) per instance per growth step and the
-compressed engine pays O(1).
+The miners run every DFS on the Section III-D ``(i, l1, lm)`` triples;
+``store_instances=True`` additionally grows each reported pattern's full
+``m``-wide landmark rows after the fact.  These benchmarks quantify the
+difference between the two growth kernels on a long-pattern workload — the
+regime the compressed representation exists for, where the full kernel pays
+O(pattern_length) per instance per growth step and the compressed one O(1).
 
 Each test records its engine, wall time (the benchmark timer) and
 ``tracemalloc`` peak into ``extra_info``, so the numbers land in the
@@ -111,7 +111,12 @@ def test_engine_comparison(benchmark, long_pattern_index):
 
 
 def test_mine_default_engine_matches_full(benchmark, long_pattern_index):
-    """Whole-mine comparison: default (compressed) DFS vs store_instances=True."""
+    """Whole-mine comparison: compressed DFS + materialisation vs the default.
+
+    ``store_instances=True`` times the compressed DFS plus the after-the-fact
+    growth of every reported pattern's full-landmark support set (the
+    ``full_seconds`` entry); the default run is the compressed DFS alone.
+    """
 
     def compare():
         t0 = time.perf_counter()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.clogsgrow import CloGSgrow
 from repro.core.closure import ClosureChecker
+from repro.core.compressed import initial_compressed_support_set, ins_grow_compressed
 from repro.core.gsgrow import GSgrow
 from repro.core.instance_growth import ins_grow
 from repro.core.pattern import Pattern
@@ -59,8 +60,9 @@ def test_sup_comp_three_events(benchmark, quest_index, frequent_pair):
 def test_closure_check_single_pattern(benchmark, quest_index, frequent_pair):
     first, second = frequent_pair
     checker = ClosureChecker(quest_index)
-    prefix = initial_support_set(quest_index, first)
-    support_set = ins_grow(quest_index, prefix, second)
+    # The checker runs on compressed triples, the representation the DFS carries.
+    prefix = initial_compressed_support_set(quest_index, first)
+    support_set = ins_grow_compressed(quest_index, prefix, second)
 
     def run():
         return checker.check(support_set, [prefix, support_set])

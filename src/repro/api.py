@@ -93,11 +93,11 @@ def mine(
         ``False`` runs GSgrow and returns every frequent pattern.
     kwargs:
         Forwarded to the miner configuration (``max_length``,
-        ``store_instances``, ``constraint``, ...).  With the default
-        ``store_instances=False`` the DFS runs on the compressed
-        ``(i, l1, lm)`` engine of Section III-D and each mined pattern
-        carries pattern + support only (``support_set`` is ``None``); pass
-        ``store_instances=True`` to mine on full landmark rows and keep every
+        ``store_instances``, ``constraint``, ...).  The DFS always runs on
+        the compressed ``(i, l1, lm)`` triples of Section III-D.  With the
+        default ``store_instances=False`` each mined pattern carries pattern
+        + support only (``support_set`` is ``None``); pass
+        ``store_instances=True`` to also grow and keep every reported
         pattern's leftmost support set.  Patterns and supports are identical
         either way.
 

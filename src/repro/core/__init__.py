@@ -11,12 +11,12 @@ The modules in this subpackage implement, in the paper's own vocabulary:
 * :mod:`repro.core.support` — repetitive support and leftmost support sets
   (Definitions 2.5 and 3.2).
 * :mod:`repro.core.compressed` — the Section III-D ``(i, l1, lm)``
-  representation: the constant-space engine the miners run on whenever
-  ``store_instances=False`` (the default).
+  representation: the constant-space engine every mining DFS and closure
+  check runs on.
 * :mod:`repro.core.sweep` — the (optionally numpy-vectorized) flat sweep
   behind compressed instance growth.
-* :mod:`repro.core.engine` — selection between the full-landmark and the
-  compressed engine.
+* :mod:`repro.core.engine` — the compressed DFS engine and the full-landmark
+  engine that materialises ``store_instances`` support sets after the fact.
 * :mod:`repro.core.reference` — brute-force reference semantics used as test
   oracles.
 * :mod:`repro.core.gsgrow` — the ``GSgrow`` miner (Algorithm 3).
@@ -32,7 +32,7 @@ The modules in this subpackage implement, in the paper's own vocabulary:
 from repro.core.clogsgrow import CloGSgrow, mine_closed
 from repro.core.compressed import CompressedSupportSet, sup_comp_compressed
 from repro.core.constraints import GapConstraint
-from repro.core.engine import COMPRESSED_ENGINE, FULL_LANDMARK_ENGINE, SupportEngine, engine_for
+from repro.core.engine import COMPRESSED_ENGINE, FULL_LANDMARK_ENGINE, SupportEngine
 from repro.core.gsgrow import GSgrow, mine_all
 from repro.core.instance import Instance, instances_overlap, is_non_redundant
 from repro.core.pattern import Pattern
@@ -49,7 +49,6 @@ __all__ = [
     "SupportEngine",
     "FULL_LANDMARK_ENGINE",
     "COMPRESSED_ENGINE",
-    "engine_for",
     "repetitive_support",
     "sup_comp",
     "sup_comp_compressed",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 
 from repro.core.closure import ClosureChecker, ClosureDecision
-from repro.core.engine import SupportSetLike
+from repro.core.compressed import CompressedSupportSet
 from repro.core.gsgrow import GSgrow
 from repro.core.results import MiningResult
 from repro.db.database import SequenceDatabase
@@ -69,7 +69,7 @@ class CloGSgrow(GSgrow):
         self._decision_cache: dict[tuple, ClosureDecision] = {}
         # Grown support sets computed while closure-checking a node, reused by
         # the DFS growth step so each P ∘ e is only instance-grown once.
-        self._append_cache: dict[tuple, dict[Event, SupportSetLike]] = {}
+        self._append_cache: dict[tuple, dict[Event, CompressedSupportSet]] = {}
 
     # ------------------------------------------------------------------
     # GSgrow hooks
@@ -85,7 +85,9 @@ class CloGSgrow(GSgrow):
         self._decision_cache = {}
         self._append_cache = {}
 
-    def _grow_child(self, index, support_set: SupportSetLike, event: Event) -> SupportSetLike:
+    def _grow_child(
+        self, index, support_set: CompressedSupportSet, event: Event
+    ) -> CompressedSupportSet:
         cached = self._append_cache.get(support_set.pattern.events, {}).get(event)
         if cached is not None:
             return cached
@@ -93,9 +95,9 @@ class CloGSgrow(GSgrow):
 
     def _accept(
         self,
-        support_set: SupportSetLike,
+        support_set: CompressedSupportSet,
         index: InvertedEventIndex,
-        prefix_sets: list[SupportSetLike],
+        prefix_sets: list[CompressedSupportSet],
         events: list[Event],
     ) -> bool:
         decision = self._decide(support_set, index, prefix_sets, events)
@@ -103,9 +105,9 @@ class CloGSgrow(GSgrow):
 
     def _should_stop_growing(
         self,
-        support_set: SupportSetLike,
+        support_set: CompressedSupportSet,
         index: InvertedEventIndex,
-        prefix_sets: list[SupportSetLike],
+        prefix_sets: list[CompressedSupportSet],
         events: list[Event],
     ) -> bool:
         decision = self._decide(support_set, index, prefix_sets, events)
@@ -118,9 +120,9 @@ class CloGSgrow(GSgrow):
     # ------------------------------------------------------------------
     def _decide(
         self,
-        support_set: SupportSetLike,
+        support_set: CompressedSupportSet,
         index: InvertedEventIndex,
-        prefix_sets: list[SupportSetLike],
+        prefix_sets: list[CompressedSupportSet],
         events: list[Event],
     ) -> ClosureDecision:
         """Run (and cache) the closure decision for the current DFS node.
@@ -152,7 +154,7 @@ class CloGSgrow(GSgrow):
             return decision
         # Pre-compute the append-extension support sets once: CCheck needs
         # their sizes and the DFS growth step reuses the sets themselves.
-        grown_children: dict[Event, SupportSetLike] = {}
+        grown_children: dict[Event, CompressedSupportSet] = {}
         append_supports: dict[Event, int] = {}
         for event in events:
             self.stats.ins_grow_calls += 1

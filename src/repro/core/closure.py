@@ -24,27 +24,21 @@ least ``sup(P)``: any extension containing a rarer event has strictly smaller
 support (Apriori), so the restriction never misses an equal-support
 extension.  This keeps the check exact.
 
-The checker is engine-agnostic: every probe it runs (append growth, the
-insert/prepend ``supComp`` restarts, the Theorem-5 border comparison) reads
-only supports and ``border_arrays()``, so it operates on whichever
-representation the miner's :class:`~repro.core.engine.SupportEngine`
-produces — full landmarks under ``store_instances=True``, compressed
-``(i, l1, lm)`` triples otherwise.
+Every probe the checker runs (append growth, the insert/prepend ``supComp``
+restarts, the Theorem-5 border comparison) reads only supports and last
+positions, so — as Section III-D observes — it runs on compressed
+``(i, l1, lm)`` triples (:data:`~repro.core.engine.COMPRESSED_ENGINE`), the
+same representation the DFS carries, whatever ``store_instances`` says.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.compressed import CompressedSupportSet
 from repro.core.constraints import GapConstraint
-from repro.core.engine import (
-    COMPRESSED_ENGINE,
-    FULL_LANDMARK_ENGINE,
-    SupportEngine,
-    SupportSetLike,
-)
+from repro.core.engine import COMPRESSED_ENGINE, SupportEngine
 from repro.core.pattern import Pattern
-from repro.core.support import SupportSet
 from repro.db.index import InvertedEventIndex
 from repro.db.sequence import Event
 
@@ -90,11 +84,10 @@ class ClosureChecker:
     constraint:
         Optional gap constraint, forwarded to instance growth.
     engine:
-        The :class:`~repro.core.engine.SupportEngine` whose support sets the
-        caller passes in; extension probes are grown with the same engine.
-        When omitted, :meth:`check` detects the engine from the type of the
-        support set it is handed, so mixed callers can never grow a
-        compressed set through the full-landmark sweep (or vice versa).
+        The compressed :class:`~repro.core.engine.SupportEngine` extension
+        probes are grown with — :data:`~repro.core.engine.COMPRESSED_ENGINE`
+        by default; the miners pass its spilling wrapper when a
+        ``spill_budget`` is set.
     """
 
     def __init__(
@@ -103,7 +96,7 @@ class ClosureChecker:
         *,
         enable_lbcheck: bool = True,
         constraint: GapConstraint | None = None,
-        engine: SupportEngine | None = None,
+        engine: SupportEngine = COMPRESSED_ENGINE,
     ):
         self.index = index
         self.enable_lbcheck = enable_lbcheck
@@ -123,8 +116,8 @@ class ClosureChecker:
     # ------------------------------------------------------------------
     def check(
         self,
-        support_set: SupportSetLike,
-        prefix_sets: list[SupportSetLike],
+        support_set: CompressedSupportSet,
+        prefix_sets: list[CompressedSupportSet],
         append_supports: dict[Event, int] | None = None,
         *,
         need_pruning: bool = True,
@@ -151,7 +144,7 @@ class ClosureChecker:
         """
         pattern = support_set.pattern
         support = support_set.support
-        engine = self._engine_for(support_set)
+        engine = self.engine
         candidates = self._candidate_events(support)
         decision = ClosureDecision(closed=True, prunable=False)
         lbcheck = self.enable_lbcheck and need_pruning
@@ -191,13 +184,13 @@ class ClosureChecker:
                 # the target, the extension cannot reach it.  (Skipped under a
                 # gap constraint, where support is not monotone in sub-patterns.)
                 if self.constraint is None:
-                    if self._pair_support_of(engine, event, after) < support:
+                    if self._pair_support_of(event, after) < support:
                         continue
-                    if before is not None and self._pair_support_of(engine, before, event) < support:
+                    if before is not None and self._pair_support_of(before, event) < support:
                         continue
                 decision.extensions_evaluated += 1
                 extension_set = self._insertion_support_set(
-                    engine, prefix_set, event, suffix, stop_below=support
+                    prefix_set, event, suffix, stop_below=support
                 )
                 if extension_set is None or extension_set.support != support:
                     continue
@@ -223,28 +216,12 @@ class ClosureChecker:
             key=repr,
         )
 
-    def _engine_for(self, support_set: SupportSetLike) -> SupportEngine:
-        """The engine to grow extension probes with.
-
-        An explicitly configured engine wins; otherwise the engine is read
-        off the representation of the set being checked, so the probes always
-        match the sets the caller is carrying.
-        """
-        if self.engine is not None:
-            return self.engine
-        if isinstance(support_set, SupportSet):
-            return FULL_LANDMARK_ENGINE
-        return COMPRESSED_ENGINE
-
-    def _pair_support_of(self, engine: SupportEngine, first: Event, second: Event) -> int:
-        """Memoised repetitive support of the 2-event pattern ``first second``.
-
-        Supports are representation-independent, so the cache is shared even
-        if callers alternate engines.
-        """
+    def _pair_support_of(self, first: Event, second: Event) -> int:
+        """Memoised repetitive support of the 2-event pattern ``first second``."""
         key = (first, second)
         cached = self._pair_support.get(key)
         if cached is None:
+            engine = self.engine
             grown = engine.grow(
                 self.index, engine.initial(self.index, first), second, constraint=self.constraint
             )
@@ -254,13 +231,12 @@ class ClosureChecker:
 
     def _insertion_support_set(
         self,
-        engine: SupportEngine,
-        prefix_set: SupportSetLike | None,
+        prefix_set: CompressedSupportSet | None,
         event: Event,
         suffix: Pattern,
         *,
         stop_below: int = 0,
-    ) -> SupportSetLike | None:
+    ) -> CompressedSupportSet | None:
         """Leftmost support set of ``prefix ∘ event ∘ suffix``.
 
         ``prefix_set`` is the leftmost support set of the prefix (``None``
@@ -269,6 +245,7 @@ class ClosureChecker:
         drops below ``stop_below`` — supports only shrink under growth
         (Lemma 1), so such an extension can never reach the target support.
         """
+        engine = self.engine
         if prefix_set is None:
             grown = engine.initial(self.index, event)
         else:
@@ -282,7 +259,7 @@ class ClosureChecker:
         return grown
 
     @staticmethod
-    def _border_dominates(extension_set: SupportSetLike, border: tuple) -> bool:
+    def _border_dominates(extension_set: CompressedSupportSet, border: tuple) -> bool:
         """Condition (ii) of Theorem 5.
 
         Both support sets are in right-shift order and (given equal support)
@@ -290,7 +267,7 @@ class ClosureChecker:
         of its instances ends at or before the corresponding instance of the
         original pattern, within the same sequence.  ``border`` is the
         ``(sequence indices, last positions)`` array pair of the original
-        pattern (see :meth:`SupportSet.border_arrays`).
+        pattern (see :meth:`CompressedSupportSet.border_arrays`).
         """
         seqs_orig, lasts_orig = border
         seqs_ext, lasts_ext = extension_set.border_arrays()

@@ -1,4 +1,4 @@
-"""Compressed instance storage (Section III-D) — the default mining engine.
+"""Compressed instance storage (Section III-D) — the mining engine.
 
 For mining purposes an instance ``(i, <l1, ..., ln>)`` never needs its full
 landmark: instance growth only looks at the *last* position, landmark border
@@ -21,14 +21,12 @@ as the full-landmark engine (:mod:`repro.core.support` /
   numpy-vectorized when available (:mod:`repro.core.sweep`);
 * :func:`sup_comp_compressed` — Algorithm 1 over triples;
 * :func:`compress` / :func:`equivalent` — conversion and equality helpers
-  used by the engine-equivalence tests.
+  used by the kernel-equivalence tests.
 
-Whenever ``MinerConfig.store_instances`` is ``False`` (the default), the
-miners, the closure checker and the streaming support queries all run on
-this representation (see :mod:`repro.core.engine`); the full-landmark engine
-is selected only when callers ask to keep instances.  Both engines produce
-identical patterns and supports — growth reads exactly the same state from
-either representation.
+The miners' DFS, the closure checker and the streaming support queries all
+run on this representation under every configuration (see
+:mod:`repro.core.engine`); full landmark rows are grown only afterwards, for
+the patterns a ``store_instances=True`` run reports.
 """
 
 from __future__ import annotations

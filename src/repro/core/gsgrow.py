@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Sequence as PySequence
 
+from repro.core.compressed import CompressedSupportSet
 from repro.core.constraints import GapConstraint
-from repro.core.engine import SupportEngine, SupportSetLike, engine_for
+from repro.core.engine import COMPRESSED_ENGINE, FULL_LANDMARK_ENGINE, SupportEngine
 from repro.core.results import MinedPattern, MiningResult
+from repro.core.support import SupportSet
 from repro.db.database import SequenceDatabase
 from repro.db.index import InvertedEventIndex
 from repro.db.sequence import Event
@@ -38,15 +40,13 @@ class MinerConfig:
         is reached.  ``None`` means unlimited.
     store_instances:
         Keep the leftmost support set (and per-sequence counts) of every
-        reported pattern.  This selects the mining engine: ``False`` (the
-        default) runs the whole DFS on compressed ``(i, l1, lm)`` triples
-        (Section III-D — constant space per instance, no landmark copies)
-        and reported patterns carry pattern + support only; ``True`` runs on
-        full ``m``-wide landmark rows so every
-        :class:`~repro.core.results.MinedPattern` also carries its
-        ``support_set`` and ``per_sequence`` counts, at a memory cost
-        proportional to total support times pattern length.  Both engines
-        report identical patterns and supports.
+        reported pattern.  The DFS always runs on compressed
+        ``(i, l1, lm)`` triples (Section III-D); with ``True`` each reported
+        pattern's full-landmark support set is then grown along a shared
+        prefix stack (one ``ins_grow`` per reported pattern in GSgrow), so
+        every :class:`~repro.core.results.MinedPattern` also carries its
+        ``support_set`` and ``per_sequence`` counts.  Patterns, supports and
+        discovery order do not depend on this flag.
     constraint:
         Optional gap constraint (see :mod:`repro.core.constraints`).
     events:
@@ -64,7 +64,8 @@ class MinerConfig:
         Per-support-set byte budget: any DFS frontier set whose columns
         exceed it is spilled onto disk (:mod:`repro.core.spill`) and read
         back through an unlinked read-only mapping.  ``None`` disables
-        spilling.  Results are identical either way.
+        spilling.  Materialised ``store_instances`` sets are budgeted the
+        same way.  Results are identical either way.
     spill_dir:
         Filesystem used for spill files (the system temp dir when ``None``).
     """
@@ -154,7 +155,7 @@ class GSgrow:
         self.config = MinerConfig(min_sup=min_sup, **kwargs)
         self.stats = MiningStats()
         self.obs = obs if obs is not None else MetricsRegistry()
-        self._engine: SupportEngine = engine_for(self.config.store_instances)
+        self._engine: SupportEngine = COMPRESSED_ENGINE
 
     # ------------------------------------------------------------------
     # Public API
@@ -193,7 +194,8 @@ class GSgrow:
         """
         index = self._as_index(database)
         self.stats = MiningStats()
-        self._engine = engine_for(self.config.store_instances)
+        self._engine = COMPRESSED_ENGINE
+        instances = FULL_LANDMARK_ENGINE if self.config.store_instances else None
         if self.config.spill_budget is not None:
             from repro.core.spill import SpillPolicy
 
@@ -201,6 +203,9 @@ class GSgrow:
                 self.config.spill_budget, directory=self.config.spill_dir, obs=self.obs
             )
             self._engine = self._engine.with_spill(policy)
+            if instances is not None:
+                instances = instances.with_spill(policy)
+        prefix_stack: list[SupportSet] = []  # materialised sets, one per prefix
         clock = self.obs.clock
         started = clock()
         try:
@@ -215,11 +220,41 @@ class GSgrow:
                     if budget is not None and self.stats.patterns_reported >= budget:
                         return
                     self.stats.patterns_reported += 1
+                    if instances is not None:
+                        mined = self._materialise(index, instances, prefix_stack, mined)
                     yield mined
             self.stats.phase_seconds["dfs"] = clock() - dfs_started
         finally:
             self.stats.phase_seconds["total"] = clock() - started
             self._record_obs()
+
+    def _materialise(
+        self,
+        index: InvertedEventIndex,
+        engine: SupportEngine,
+        stack: list[SupportSet],
+        mined: MinedPattern,
+    ) -> MinedPattern:
+        """Attach the full-landmark leftmost support set of a reported pattern.
+
+        The DFS reports in preorder: ``stack`` (full sets of the previous
+        report's prefixes) is cut to the longest prefix shared with this
+        pattern and only the missing events are grown.
+        """
+        events = mined.pattern.events
+        depth = 0
+        shared = min(len(stack), len(events))
+        while depth < shared and stack[depth].pattern.events[-1] == events[depth]:
+            depth += 1
+        del stack[depth:]
+        for event in events[depth:]:
+            stack.append(
+                engine.grow(index, stack[-1], event, constraint=self.config.constraint)
+                if stack
+                else engine.initial(index, event)
+            )
+        full = stack[-1]
+        return MinedPattern(mined.pattern, mined.support, full, full.per_sequence_counts())
 
     def _record_obs(self) -> None:
         """Mirror this run's counters and phase timings into the registry.
@@ -251,9 +286,9 @@ class GSgrow:
     def _mine_fre(
         self,
         index: InvertedEventIndex,
-        support_set: SupportSetLike,
+        support_set: CompressedSupportSet,
         events: list[Event],
-        prefix_sets: list[SupportSetLike],
+        prefix_sets: list[CompressedSupportSet],
     ) -> Iterator[MinedPattern]:
         """Recursive DFS over the pattern space (lines 6–10 of Algorithm 3)."""
         self.stats.nodes_visited += 1
@@ -261,7 +296,7 @@ class GSgrow:
             self.stats.nodes_pruned_infrequent += 1
             return
         if self._accept(support_set, index, prefix_sets, events):
-            yield self._as_mined(support_set)
+            yield MinedPattern(pattern=support_set.pattern, support=support_set.support)
         if self._should_stop_growing(support_set, index, prefix_sets, events):
             return
         if self.config.max_length is not None and len(support_set.pattern) >= self.config.max_length:
@@ -280,17 +315,17 @@ class GSgrow:
         """Per-run setup before the DFS starts (CloGSgrow builds its checker here)."""
 
     def _grow_child(
-        self, index: InvertedEventIndex, support_set: SupportSetLike, event: Event
-    ) -> SupportSetLike:
+        self, index: InvertedEventIndex, support_set: CompressedSupportSet, event: Event
+    ) -> CompressedSupportSet:
         """Compute the support set of ``P ∘ e`` (CloGSgrow reuses cached ones)."""
         self.stats.ins_grow_calls += 1
         return self._engine.grow(index, support_set, event, constraint=self.config.constraint)
 
     def _accept(
         self,
-        support_set: SupportSetLike,
+        support_set: CompressedSupportSet,
         index: InvertedEventIndex,
-        prefix_sets: list[SupportSetLike],
+        prefix_sets: list[CompressedSupportSet],
         events: list[Event],
     ) -> bool:
         """Whether to report the (frequent) pattern of ``support_set``."""
@@ -298,9 +333,9 @@ class GSgrow:
 
     def _should_stop_growing(
         self,
-        support_set: SupportSetLike,
+        support_set: CompressedSupportSet,
         index: InvertedEventIndex,
-        prefix_sets: list[SupportSetLike],
+        prefix_sets: list[CompressedSupportSet],
         events: list[Event],
     ) -> bool:
         """Whether the DFS subtree below this pattern can be pruned."""
@@ -309,16 +344,6 @@ class GSgrow:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _as_mined(self, support_set: SupportSetLike) -> MinedPattern:
-        if self.config.store_instances:
-            return MinedPattern(
-                pattern=support_set.pattern,
-                support=support_set.support,
-                support_set=support_set,
-                per_sequence=support_set.per_sequence_counts(),
-            )
-        return MinedPattern(pattern=support_set.pattern, support=support_set.support)
-
     def _candidate_events(self, index: InvertedEventIndex) -> list[Event]:
         if self.config.events is not None:
             return sorted(set(self.config.events), key=repr)

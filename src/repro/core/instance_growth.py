@@ -24,11 +24,13 @@ per-call grouping structures are needed, the ``next()`` query is an inlined
 sequence run, not once per instance), and the grown landmarks are written
 into two pre-sized output arrays — the only allocations of the call.
 
-This is the growth operation of the **full-landmark** engine, used when
-``store_instances=True``.  The default configuration grows compressed
-``(i, l1, lm)`` triples instead (:func:`repro.core.compressed.ins_grow_compressed`,
-same greedy control flow, no landmark copies); :mod:`repro.core.engine`
-selects between the two.
+This is the growth operation of the **full-landmark** engine: it backs
+:func:`~repro.core.support.sup_comp` (the test oracle), the match
+automaton's instance reporting, and the ``store_instances=True``
+materialiser, which grows each reported pattern's support set after the
+DFS.  The DFS itself grows compressed ``(i, l1, lm)`` triples
+(:func:`repro.core.compressed.ins_grow_compressed`, same greedy control
+flow, no landmark copies).
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ class MinedPattern:
         Its repetitive support ``sup(P)``.
     support_set:
         The leftmost support set, if the miner was asked to keep instances
-        (``store_instances=True``); ``None`` under the default configuration,
-        where the DFS runs on the compressed ``(i, l1, lm)`` engine and
-        never materialises landmark rows.  To recover the instances of a
+        (``store_instances=True``, which grows it after the DFS reports the
+        pattern); ``None`` under the default configuration, where no
+        landmark rows are ever built.  To recover the instances of a
         specific pattern afterwards, run
         :func:`repro.core.support.sup_comp` on the database.
     per_sequence:

@@ -19,10 +19,10 @@ contract — so a spilled set is observationally identical to a resident
 one, just paged by the OS instead of held on the heap.
 
 Because the wrap happens on :class:`~repro.core.engine.SupportEngine`
-(:meth:`~repro.core.engine.SupportEngine.with_spill`), both the
-full-landmark and compressed engines get spilling without knowing about
-it, and the miners only see a ``spill_budget`` knob on
-:class:`~repro.core.gsgrow.MinerConfig`.
+(:meth:`~repro.core.engine.SupportEngine.with_spill`), the compressed DFS
+engine and the full-landmark ``store_instances`` materialiser get spilling
+without knowing about it, and the miners only see a ``spill_budget`` knob
+on :class:`~repro.core.gsgrow.MinerConfig`.
 
 On platforms without :mod:`mmap` (or big-endian hosts, where raw column
 bytes cannot be reinterpreted) the policy degrades to a counted no-op:
@@ -41,7 +41,6 @@ from repro.core.support import SupportSet
 from repro.db.backend import POSITION_TYPECODE, can_map_zero_copy
 
 if TYPE_CHECKING:
-    from repro.core.engine import SupportSetLike
     from repro.obs import MetricsRegistry
 
 _mmap: Any
@@ -57,7 +56,7 @@ _ITEMSIZE = array(POSITION_TYPECODE).itemsize
 __all__ = ["SpillPolicy", "spilled_bytes"]
 
 
-def spilled_bytes(support_set: "SupportSetLike") -> int:
+def spilled_bytes(support_set: SupportSet | CompressedSupportSet) -> int:
     """Byte size of a set's columns (what :class:`SpillPolicy` budgets)."""
     if isinstance(support_set, CompressedSupportSet):
         return 3 * len(support_set.seq_indices_array) * _ITEMSIZE
@@ -105,7 +104,9 @@ class SpillPolicy:
         self._bytes = obs.counter("core.spill.bytes") if obs is not None else None
         self._skipped = obs.counter("core.spill.skipped") if obs is not None else None
 
-    def maybe_spill(self, support_set: "SupportSetLike") -> "SupportSetLike":
+    def maybe_spill(
+        self, support_set: SupportSet | CompressedSupportSet
+    ) -> SupportSet | CompressedSupportSet:
         """Return ``support_set``, spilled onto disk if it is over budget."""
         nbytes = spilled_bytes(support_set)
         if nbytes <= self.budget_bytes:
@@ -120,7 +121,7 @@ class SpillPolicy:
                 support_set.firsts_array,
                 support_set.lasts_array,
             )
-            spilled: SupportSetLike = CompressedSupportSet.from_arrays(
+            spilled: SupportSet | CompressedSupportSet = CompressedSupportSet.from_arrays(
                 support_set.pattern, seqs, firsts, lasts
             )
         else:

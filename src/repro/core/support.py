@@ -7,10 +7,11 @@ set — the one whose landmarks are position-wise smallest when instances are
 compared in the right-shift order; the instance-growth machinery always
 produces (and consumes) leftmost support sets.
 
-:class:`SupportSet` is the container used throughout the miners.  On the DFS
-hot path it is backed by two flat integer arrays — the sequence indices and
-the row-major landmark matrix — so instance growth is a pointer sweep rather
-than a walk over per-instance objects; :class:`~repro.core.instance.Instance`
+:class:`SupportSet` is the container the miners report instances in (the
+DFS itself carries compressed triples, :mod:`repro.core.compressed`).  It is
+backed by two flat integer arrays — the sequence indices and the row-major
+landmark matrix — so instance growth is a pointer sweep rather than a walk
+over per-instance objects; :class:`~repro.core.instance.Instance`
 objects are materialised lazily (and cached) only when a caller asks for
 them.  The functions :func:`sup_comp` (Algorithm 1) and
 :func:`repetitive_support` are the public entry points for computing the
@@ -26,8 +27,6 @@ from repro.core.instance import Instance, is_non_redundant, sort_right_shift
 from repro.core.pattern import Pattern, as_pattern
 from repro.db.database import SequenceDatabase
 from repro.db.index import POSITION_TYPECODE, InvertedEventIndex
-
-_EMPTY_ARRAY = array(POSITION_TYPECODE)
 
 
 class SupportSet:
@@ -109,6 +108,20 @@ class SupportSet:
     def __repr__(self) -> str:
         return f"SupportSet({self.pattern!s}, {self._materialize()!r})"
 
+    def __reduce__(self):
+        # Spilled columns are memoryviews over an mmap, which cannot be
+        # pickled: ship resident copies and rebuild through the trusted
+        # constructor (the copies are already in right-shift order).
+        return (
+            SupportSet.from_arrays,
+            (
+                self.pattern,
+                array(POSITION_TYPECODE, self._seqs),
+                array(POSITION_TYPECODE, self._landmarks),
+                self._m,
+            ),
+        )
+
     # ------------------------------------------------------------------
     # Array accessors used by the engine (read-only!)
     # ------------------------------------------------------------------
@@ -126,14 +139,6 @@ class SupportSet:
     def row_width(self) -> int:
         """Number of landmark positions per instance."""
         return self._m
-
-    def border_arrays(self) -> tuple[array, array]:
-        """The landmark border as ``(sequence indices, last positions)`` arrays."""
-        m = self._m
-        if m == 1:
-            return self._seqs, self._landmarks
-        lasts = self._landmarks[m - 1 :: m] if self._seqs else _EMPTY_ARRAY
-        return self._seqs, lasts
 
     # ------------------------------------------------------------------
     # Accessors used by the miners
@@ -158,8 +163,8 @@ class SupportSet:
 
     def last_positions(self) -> list[tuple]:
         """``(i, last)`` pairs in right-shift order (the landmark border)."""
-        seqs, lasts = self.border_arrays()
-        return list(zip(seqs, lasts, strict=False))
+        m = self._m
+        return list(zip(self._seqs, self._landmarks[m - 1 :: m], strict=False))
 
     def first_positions(self) -> list[tuple]:
         """``(i, first)`` pairs in right-shift order."""

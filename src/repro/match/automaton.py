@@ -56,12 +56,8 @@ from collections.abc import Iterable, Iterator, Sequence as PySequence
 from typing import Any
 
 from repro.core.constraints import GapConstraint
-from repro.core.engine import (
-    FULL_LANDMARK_ENGINE,
-    SupportEngine,
-    SupportSetLike,
-    engine_for,
-)
+from repro.core import CompressedSupportSet
+from repro.core.engine import COMPRESSED_ENGINE, FULL_LANDMARK_ENGINE, SupportEngine
 from repro.core.pattern import Pattern, as_pattern
 from repro.core.results import MiningResult
 from repro.core.support import SupportSet
@@ -508,13 +504,13 @@ class PatternAutomaton:
         per_sequence: list[dict[int, int]] = [{} for _ in range(npat)]
         instance_sets: list[SupportSet | None] = [None] * npat
         support_engine: SupportEngine = (
-            FULL_LANDMARK_ENGINE if with_instances else engine_for(False)
+            FULL_LANDMARK_ENGINE if with_instances else COMPRESSED_ENGINE
         )
         children = self._children
         terminal = self._terminal
         event_of = {aid: event for event, aid in self._aid_of.items()}
 
-        def record(state: int, support_set: SupportSetLike) -> None:
+        def record(state: int, support_set: SupportSet | CompressedSupportSet) -> None:
             """Report a grown prefix's support set if a pattern ends at ``state``."""
             pid = terminal[state]
             if pid < 0:
@@ -527,7 +523,7 @@ class PatternAutomaton:
         # Explicit stack: mined pattern sets can be deep (the JBoss lifecycle
         # patterns span dozens of events) and recursion depth would track the
         # longest pattern.
-        stack: list[tuple[int, SupportSetLike]] = []
+        stack: list[tuple[int, SupportSet | CompressedSupportSet]] = []
         for aid, child in children[0].items():
             initial = support_engine.initial(index, event_of[aid])
             record(child, initial)

@@ -3,17 +3,17 @@
 import pytest
 
 from repro.core.closure import ClosureChecker
-from repro.core.instance_growth import ins_grow
+from repro.core.compressed import initial_compressed_support_set, ins_grow_compressed
 from repro.core.pattern import Pattern
-from repro.core.support import initial_support_set, sup_comp
+from repro.core.support import sup_comp
 from repro.db.index import InvertedEventIndex
 
 
 def build_prefix_sets(index, pattern):
-    """Leftmost support sets of every prefix of ``pattern`` (length 1..m)."""
-    sets = [initial_support_set(index, pattern.at(1))]
+    """Compressed leftmost support sets of every prefix of ``pattern`` (length 1..m)."""
+    sets = [initial_compressed_support_set(index, pattern.at(1))]
     for j in range(2, len(pattern) + 1):
-        sets.append(ins_grow(index, sets[-1], pattern.at(j)))
+        sets.append(ins_grow_compressed(index, sets[-1], pattern.at(j)))
     return sets
 
 
@@ -95,7 +95,7 @@ class TestCheckerOptions:
         # Pass precomputed append supports: the checker should not recompute
         # them (extensions_evaluated counts only what it computed itself).
         appended = {
-            e: ins_grow(table3_index, prefix_sets[-1], e).support for e in "ABCD"
+            e: ins_grow_compressed(table3_index, prefix_sets[-1], e).support for e in "ABCD"
         }
         decision = checker.check(prefix_sets[-1], prefix_sets, append_supports=appended)
         assert not decision.closed

@@ -1,25 +1,30 @@
-"""Full-landmark vs compressed engine equivalence.
+"""``store_instances`` support sets ≡ the ``sup_comp`` oracle.
 
-``store_instances`` selects the representation the whole DFS runs on —
-full ``m``-wide landmark rows (``True``) or the Section III-D compressed
-``(i, l1, lm)`` triples (``False``, the default).  The two engines must be
-byte-identical in everything they report: same patterns, same supports, in
-the same discovery order, under every configuration (gap constraints,
-``max_length`` caps, LBCheck on/off).  These tests pin that invariant on
-randomized Markov databases, and pin the one-event-hash-per-``ins_grow``
-interning contract on both engines.
+Every mining DFS runs on the Section III-D compressed ``(i, l1, lm)``
+triples; ``store_instances=True`` only adds an after-the-fact materialiser
+that grows each reported pattern's full-landmark leftmost support set along a
+shared prefix stack.  These tests pin, on randomized Markov databases and
+under every configuration (gap constraints, ``max_length`` caps, LBCheck
+on/off), that
+
+* every reported ``support_set`` equals ``sup_comp(db, pattern, constraint)``
+  and its ``per_sequence`` equals ``support_set.per_sequence_counts()``;
+* the ``(pattern, support)`` discovery order equals ``store_instances=False``;
+* spilled materialised sets are ``memoryview``-backed and equal the resident
+  ones;
+
+and pin the one-event-hash-per-``ins_grow`` interning contract on both
+growth kernels.
 """
 
 import pytest
 
 from repro.core.clogsgrow import CloGSgrow
 from repro.core.constraints import GapConstraint
-from repro.core.engine import (
-    COMPRESSED_ENGINE,
-    FULL_LANDMARK_ENGINE,
-    engine_for,
-)
+from repro.core.engine import COMPRESSED_ENGINE, FULL_LANDMARK_ENGINE
 from repro.core.gsgrow import GSgrow
+from repro.core.spill import SpillPolicy
+from repro.core.support import sup_comp
 from repro.datagen.markov import MarkovSequenceGenerator
 from repro.db.database import SequenceDatabase
 from repro.db.index import InvertedEventIndex
@@ -43,6 +48,15 @@ CONFIGS = [
     pytest.param({"constraint": GapConstraint(1, 3), "max_length": 4}, id="gap+cap"),
 ]
 
+MINERS = [
+    pytest.param(GSgrow, id="gsgrow"),
+    pytest.param(CloGSgrow, id="clogsgrow"),
+    pytest.param(
+        lambda min_sup, **kwargs: CloGSgrow(min_sup, enable_lbcheck=False, **kwargs),
+        id="clogsgrow-no-lbcheck",
+    ),
+]
+
 
 def _markov_db(seed):
     return MarkovSequenceGenerator(
@@ -59,67 +73,46 @@ def _snapshot(result):
     return [(entry.pattern.events, entry.support) for entry in result]
 
 
-class TestEngineSelection:
-    def test_default_config_uses_compressed_engine(self):
-        assert GSgrow(2)._engine is COMPRESSED_ENGINE
-        assert CloGSgrow(2)._engine is COMPRESSED_ENGINE
-
-    def test_store_instances_uses_full_engine(self):
-        assert GSgrow(2, store_instances=True)._engine is FULL_LANDMARK_ENGINE
-
-    def test_engine_for(self):
-        assert engine_for(False) is COMPRESSED_ENGINE
-        assert engine_for(True) is FULL_LANDMARK_ENGINE
-
-    def test_config_change_after_init_is_honoured(self, table3):
-        miner = GSgrow(3)
-        miner.config.store_instances = True
-        result = miner.mine(table3)
-        assert miner._engine is FULL_LANDMARK_ENGINE
-        assert all(entry.support_set is not None for entry in result)
+def _instances(result):
+    return [
+        (entry.pattern, entry.support, entry.support_set, entry.per_sequence)
+        for entry in result
+    ]
 
 
+@pytest.mark.parametrize("miner", MINERS)
 @pytest.mark.parametrize("config", CONFIGS)
 @pytest.mark.parametrize("seed", SEEDS)
-class TestRandomizedEquivalence:
-    def test_gsgrow_engines_agree(self, seed, config):
-        db = _markov_db(seed)
-        full = GSgrow(MIN_SUP, store_instances=True, **config).mine(db)
-        compressed = GSgrow(MIN_SUP, store_instances=False, **config).mine(db)
-        assert _snapshot(compressed) == _snapshot(full)
-
-    def test_clogsgrow_engines_agree(self, seed, config):
-        db = _markov_db(seed)
-        full = CloGSgrow(MIN_SUP, store_instances=True, **config).mine(db)
-        compressed = CloGSgrow(MIN_SUP, store_instances=False, **config).mine(db)
-        assert _snapshot(compressed) == _snapshot(full)
-
-    def test_clogsgrow_without_lbcheck_engines_agree(self, seed, config):
-        db = _markov_db(seed)
-        full = CloGSgrow(MIN_SUP, enable_lbcheck=False, store_instances=True, **config).mine(db)
-        compressed = CloGSgrow(MIN_SUP, enable_lbcheck=False, **config).mine(db)
-        assert _snapshot(compressed) == _snapshot(full)
+def test_materialised_instances_match_sup_comp(seed, config, miner):
+    db = _markov_db(seed)
+    with_instances = miner(MIN_SUP, store_instances=True, **config).mine(db)
+    without = miner(MIN_SUP, **config).mine(db)
+    assert _snapshot(with_instances) == _snapshot(without)
+    index = InvertedEventIndex(db)
+    constraint = config.get("constraint")
+    for entry in with_instances:
+        assert entry.support_set == sup_comp(index, entry.pattern, constraint)
+        assert entry.per_sequence == entry.support_set.per_sequence_counts()
 
 
-class TestCheckerEngineDetection:
-    """A bare ClosureChecker must follow the representation it is handed."""
+def test_config_change_after_init_is_honoured(table3):
+    miner = GSgrow(3)
+    miner.config.store_instances = True
+    assert all(entry.support_set is not None for entry in miner.mine(table3))
 
-    def test_unconfigured_checker_accepts_both_representations(self, table3_index):
-        from repro.core.closure import ClosureChecker
-        from repro.core.compressed import initial_compressed_support_set, ins_grow_compressed
-        from repro.core.instance_growth import ins_grow
-        from repro.core.support import initial_support_set
 
-        checker = ClosureChecker(table3_index)  # no engine argument
-        c1 = initial_compressed_support_set(table3_index, "A")
-        c2 = ins_grow_compressed(table3_index, c1, "C")
-        compressed_decision = checker.check(c2, [c1, c2])
-        f1 = initial_support_set(table3_index, "A")
-        f2 = ins_grow(table3_index, f1, "C")
-        full_decision = checker.check(f2, [f1, f2])
-        assert (compressed_decision.closed, compressed_decision.prunable,
-                compressed_decision.witness) == (
-            full_decision.closed, full_decision.prunable, full_decision.witness)
+@pytest.mark.parametrize("miner", MINERS)
+def test_spilled_instances_equal_resident(tmp_path, miner):
+    db = _markov_db(0)
+    resident = miner(MIN_SUP, store_instances=True).mine(db)
+    spilled = miner(
+        MIN_SUP, store_instances=True, spill_budget=1, spill_dir=str(tmp_path)
+    ).mine(db)
+    assert _instances(spilled) == _instances(resident)
+    if SpillPolicy(1).enabled:
+        assert all(
+            isinstance(entry.support_set.landmarks_array, memoryview) for entry in spilled
+        )
 
 
 class _CountingEvent:

@@ -9,11 +9,13 @@ file.  Under budget the very same object passes through; without
 
 from __future__ import annotations
 
+import pickle
 from array import array
 
 import pytest
 
 import repro.core.spill as spill_module
+from repro.api import mine_many
 from repro.core.compressed import CompressedSupportSet
 from repro.core.gsgrow import GSgrow, mine_all
 from repro.core.spill import SpillPolicy, spilled_bytes
@@ -145,3 +147,35 @@ class TestMiningWithSpill:
         )
         result = miner.mine(SequenceDatabase(self.SEQUENCES))
         assert self.canon(result) == self.canon(baseline)
+
+
+class TestSpilledSetsCrossProcesses:
+    """Spilled instance sets are mmap-backed but must still pickle."""
+
+    def test_spilled_set_round_trips_through_pickle(self, tmp_path):
+        policy = SpillPolicy(1, directory=str(tmp_path))
+        if not policy.enabled:
+            pytest.skip("no zero-copy mapping on this platform")
+        spilled = policy.maybe_spill(full_set())
+        assert isinstance(spilled.landmarks_array, memoryview)
+        restored = pickle.loads(pickle.dumps(spilled))
+        assert restored == spilled
+        assert restored.row_width == spilled.row_width
+        assert list(restored) == list(spilled)
+
+    def test_pooled_spilled_mining_matches_serial(self, tmp_path):
+        sequences = TestMiningWithSpill.SEQUENCES
+        databases = [SequenceDatabase(sequences[:k]) for k in (5, 10)]
+        kwargs = {"max_length": 3, "store_instances": True, "spill_budget": 1,
+                  "spill_dir": str(tmp_path)}
+
+        def instances(results):
+            return [
+                [(mp.pattern, mp.support, mp.support_set, mp.per_sequence) for mp in result]
+                for result in results
+            ]
+
+        serial = mine_many(databases, 3, n_jobs=1, **kwargs)
+        pooled = mine_many(databases, 3, n_jobs=2, **kwargs)
+        assert instances(pooled) == instances(serial)
+        assert all(len(result) > 0 for result in serial)

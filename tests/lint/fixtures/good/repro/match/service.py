@@ -3,6 +3,6 @@
 from __future__ import annotations
 
 from repro.core import sup_comp_compressed  # re-exported name: fine
-from repro.core.engine import FULL_LANDMARK_ENGINE, engine_for  # the seam: fine
+from repro.core.engine import COMPRESSED_ENGINE, FULL_LANDMARK_ENGINE  # the seam: fine
 
-__all__ = ["FULL_LANDMARK_ENGINE", "engine_for", "sup_comp_compressed"]
+__all__ = ["COMPRESSED_ENGINE", "FULL_LANDMARK_ENGINE", "sup_comp_compressed"]

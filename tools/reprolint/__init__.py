@@ -16,8 +16,8 @@ deterministic, per-commit failure with a ``file:line`` message.  The rules
   ``# reprolint: holds-lock`` helpers excepted).
 * **RL004** — layering: only ``repro.core`` may import the
   ``repro.core.compressed`` / ``repro.core.instance_growth`` engine
-  internals; everything else routes through the ``SupportEngine`` seam or
-  the ``repro.core`` package surface.
+  internals; everything else routes through the engine objects of
+  ``repro.core.engine`` or the ``repro.core`` package surface.
 * **RL005** — no wall-clock or unseeded randomness in library code outside
   ``repro.datagen`` and the explicitly time-aware stream/serve surfaces.
 

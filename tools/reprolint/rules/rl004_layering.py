@@ -1,11 +1,13 @@
 """RL004 — engine-internal modules stay behind the ``SupportEngine`` seam.
 
-``repro.core.compressed`` and ``repro.core.instance_growth`` are the two
-interchangeable support-set engines.  Everything outside ``repro.core``
-must reach them through the :class:`repro.core.engine.SupportEngine` seam
+``repro.core.compressed`` and ``repro.core.instance_growth`` hold the two
+growth kernels: the compressed one every mining DFS runs on and the
+full-landmark one that materialises instances.  Everything outside
+``repro.core`` must reach them through the engine objects of
+:mod:`repro.core.engine` (``COMPRESSED_ENGINE`` / ``FULL_LANDMARK_ENGINE``)
 or the re-exports on the ``repro.core`` package surface — otherwise a
-caller silently pins one engine and the ``store_instances`` toggle stops
-being a single switch.
+caller binds a kernel function directly and bypasses whatever wraps the
+engines' ``grow`` (spilling, per-layer tracing).
 
 Flagged outside ``repro/core/``:
 
@@ -64,6 +66,6 @@ class EngineLayering(Rule):
         return self.finding(
             lineno,
             f"direct import of engine-internal module '{module}' outside "
-            "repro.core; use the SupportEngine seam (repro.core.engine) or "
+            "repro.core; use the engine objects of repro.core.engine or "
             "the repro.core package re-exports",
         )
