@@ -16,9 +16,11 @@ as the full-landmark engine (:mod:`repro.core.support` /
   a trusted :meth:`~CompressedSupportSet.from_arrays` constructor on the
   growth path;
 * :func:`ins_grow_compressed` — Algorithm 2 as a single flat sweep over the
-  columns: the event is resolved to its interned id once per call, position
-  lists are fetched once per sequence run, and the unconstrained sweep is
-  numpy-vectorized when available (:mod:`repro.core.sweep`);
+  columns: the event is resolved to its interned id and its per-sequence
+  column getter (:meth:`~repro.db.index.InvertedEventIndex.positions_of`)
+  once per call, position lists are fetched once per sequence run, and the
+  unconstrained sweep is numpy-vectorized when available
+  (:mod:`repro.core.sweep`);
 * :func:`sup_comp_compressed` — Algorithm 1 over triples;
 * :func:`compress` / :func:`equivalent` — conversion and equality helpers
   used by the kernel-equivalence tests.
@@ -215,10 +217,10 @@ def ins_grow_compressed(
     :func:`repro.core.instance_growth.ins_grow`; only the per-instance state
     differs — the last position is all that is needed to extend, the first
     position is carried along unchanged, and no landmark rows are copied.
-    The event is resolved to its interned id exactly once per call (one hash
-    of the user object); the unconstrained sweep dispatches through
+    The event is resolved to its interned id and column getter exactly once
+    per call (one hash of the user object); the sweep dispatches through
     :func:`repro.core.sweep.grow_triples` and is numpy-vectorized for large
-    sets when numpy is importable.
+    unconstrained sets when numpy is importable.
     """
     grown_pattern = support_set.pattern.grow(event)
     seqs = support_set.seq_indices_array
@@ -231,8 +233,7 @@ def ins_grow_compressed(
         seqs,
         support_set.firsts_array,
         support_set.lasts_array,
-        index.raw_positions_by_id,
-        eid,
+        index.positions_of(eid).get,
         constraint,
     )
     return CompressedSupportSet.from_arrays(grown_pattern, *columns)

@@ -21,7 +21,9 @@ The implementation is a single flat sweep over the support set's columnar
 arrays: instances of one sequence are contiguous in right-shift order, so no
 per-call grouping structures are needed, the ``next()`` query is an inlined
 :func:`bisect.bisect_right` over the index's position array (fetched once per
-sequence run, not once per instance), and the grown landmarks are written
+sequence run through the event's hoisted
+:meth:`~repro.db.index.InvertedEventIndex.positions_of` getter, not once per
+instance), and the grown landmarks are written
 into two pre-sized output arrays — the only allocations of the call.
 
 This is the growth operation of the **full-landmark** engine: it backs
@@ -93,7 +95,7 @@ def ins_grow(
     out_lands = array(POSITION_TYPECODE, bytes(_ITEMSIZE * n * out_m))
     in_mv = memoryview(lands)
     out_mv = memoryview(out_lands)
-    raw_positions = index.raw_positions_by_id
+    get = index.positions_of(eid).get
     # Bound methods hoisted so the sweep never re-runs the attribute
     # descriptor lookups per instance.
     lowest_allowed = None if constraint is None else constraint.lowest_allowed
@@ -116,7 +118,7 @@ def ins_grow(
         if i != prev_seq:
             prev_seq = i
             last_position = 0
-            plist = raw_positions(i, eid)
+            plist = get(i)
             if not plist:
                 skip_seq = i
                 continue

@@ -26,10 +26,14 @@ columnar ``(seqs, firsts, lasts)`` arrays of a
 importable and the set is large enough to amortise array conversion, the
 numpy path is used; otherwise a pure-python flat sweep (identical to the
 one in :mod:`repro.core.instance_growth`, minus the landmark copies) runs.
-Numpy is an optional accelerator, never a dependency: the position arrays of
-:class:`~repro.db.index.InvertedEventIndex` are ``array('q')`` buffers, so
-``np.frombuffer`` views them zero-copy, and both paths produce bit-identical
-``array('q')`` outputs.
+Both paths read the appended event's columns through one per-sequence
+getter, the bound ``get`` of
+:meth:`InvertedEventIndex.positions_of(eid) <repro.db.index.InvertedEventIndex.positions_of>`,
+which the caller hoists once per growth call (a dict probe per sequence run
+on the RAM backend).  Numpy is an optional accelerator, never a dependency:
+the position arrays of :class:`~repro.db.index.InvertedEventIndex` are
+``array('q')`` buffers, so ``np.frombuffer`` views them zero-copy, and both
+paths produce bit-identical ``array('q')`` outputs.
 
 Gap-constrained growth is *not* vectorized: a ``max_gap`` rejection skips an
 instance without consuming a position, which breaks the recurrence above.
@@ -77,13 +81,17 @@ _ITEMSIZE = array(POSITION_TYPECODE).itemsize
 #: (sequence indices, first positions, last positions) column arrays.
 TripleArrays = tuple["array[int]", "array[int]", "array[int]"]
 
+#: Per-sequence column getter of the appended event: ``get(i)`` is its
+#: sorted position column in ``S_i``, or ``None``.  Typed ``Any`` like the
+#: columns the sweeps bisect, which are ``array('q')`` or ``memoryview``.
+PositionGetter = Callable[[int], Any]
+
 
 def grow_triples(
     seqs: array[int],
     firsts: array[int],
     lasts: array[int],
-    raw_positions_by_id: Callable[[int, int], Any],
-    eid: int,
+    get: PositionGetter,
     constraint: GapConstraint | None = None,
 ) -> TripleArrays:
     """Greedy growth over ``(i, l1, lm)`` column arrays.
@@ -92,12 +100,10 @@ def grow_triples(
     ----------
     seqs, firsts, lasts:
         The columns of a compressed support set in right-shift order.
-    raw_positions_by_id:
-        :meth:`~repro.db.index.InvertedEventIndex.raw_positions_by_id` of the
-        index being mined.
-    eid:
-        Interned id of the event being appended (resolved once by the
-        caller — this function never hashes user event objects).
+    get:
+        ``index.positions_of(eid).get`` for the interned id of the event
+        being appended (resolved once by the caller — this function never
+        hashes user event objects).
     constraint:
         Optional gap constraint; constrained calls always run the scalar
         sweep (a ``max_gap`` rejection skips an instance without consuming a
@@ -114,18 +120,15 @@ def grow_triples(
         seqs_np = _np.frombuffer(seqs, dtype=_np.int64)
         changes = _np.flatnonzero(seqs_np[1:] != seqs_np[:-1]) + 1
         if n >= NUMPY_MIN_RUN_LENGTH * (len(changes) + 1):
-            return _grow_triples_numpy(
-                seqs_np, firsts, lasts, raw_positions_by_id, eid, changes
-            )
-    return _grow_triples_python(seqs, firsts, lasts, raw_positions_by_id, eid, constraint)
+            return _grow_triples_numpy(seqs_np, firsts, lasts, get, changes)
+    return _grow_triples_python(seqs, firsts, lasts, get, constraint)
 
 
 def _grow_triples_python(
     seqs: array[int],
     firsts: array[int],
     lasts: array[int],
-    raw_positions_by_id: Callable[[int, int], Any],
-    eid: int,
+    get: PositionGetter,
     constraint: GapConstraint | None = None,
 ) -> TripleArrays:
     """Scalar flat sweep (the fallback, small-set fast path, and the only
@@ -153,7 +156,7 @@ def _grow_triples_python(
         if i != prev_seq:
             prev_seq = i
             last_position = 0
-            plist = raw_positions_by_id(i, eid)
+            plist = get(i)
             if not plist:
                 skip_seq = i
                 continue
@@ -190,8 +193,7 @@ def _grow_triples_numpy(
     seqs: Any,
     firsts: array[int],
     lasts: array[int],
-    raw_positions_by_id: Callable[[int, int], Any],
-    eid: int,
+    get: PositionGetter,
     changes: Any = None,
 ) -> TripleArrays:
     """Closed-form sweep: one searchsorted + cumulative maximum per run.
@@ -214,7 +216,7 @@ def _grow_triples_numpy(
     ends = np.concatenate((changes, [n]))
     arange = np.arange(int((ends - starts).max())) if n else None
     for a, b in zip(starts, ends, strict=False):
-        plist = raw_positions_by_id(int(seqs_np[a]), eid)
+        plist = get(int(seqs_np[a]))
         if not plist:
             continue
         positions = np.frombuffer(plist, dtype=np.int64)

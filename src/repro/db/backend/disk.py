@@ -38,6 +38,7 @@ from array import array
 from collections.abc import Iterator, Mapping
 from pathlib import Path
 
+from repro.db.backend import SizeOneArrays, flatten_occurrences
 from repro.db.backend.layout import (
     NEW_SEQUENCE,
     POSITION_TYPECODE,
@@ -156,6 +157,18 @@ class DiskColumnStore:
             if found is not None:
                 return found
         return None
+
+    def positions_of(self, eid: int) -> _EventColumns:
+        """Event ``eid``'s columns, read through :meth:`get` on every call.
+
+        Holds no positions itself: caching per-event views here would pull
+        a bigger-than-RAM index into RAM.
+        """
+        return _EventColumns(self, eid)
+
+    def size_one(self, eid: int) -> SizeOneArrays:
+        """Flat size-1 arrays of ``eid``, built afresh from :meth:`occurrences`."""
+        return flatten_occurrences(self.occurrences(eid))
 
     def event_ids(self, i: int) -> set[int]:
         """Distinct interned event ids occurring in sequence ``S_i``."""
@@ -338,6 +351,19 @@ class DiskColumnStore:
                 continue
             self._overlay_list(i, eid).extend(positions)
             self._tail_bytes += len(positions) * _ITEMSIZE
+
+
+class _EventColumns:
+    """Stateless per-event accessor: ``get(i)`` is ``store.get(i, eid)``."""
+
+    __slots__ = ("_store", "_eid")
+
+    def __init__(self, store: DiskColumnStore, eid: int) -> None:
+        self._store = store
+        self._eid = eid
+
+    def get(self, i: int, /) -> Column | None:
+        return self._store.get(i, self._eid)
 
 
 def _noop(directory: Path) -> None:

@@ -23,11 +23,13 @@ Two properties matter beyond the paper:
   compressed) resolve an event to its id once per call (one hash of the user
   object) and then perform all per-sequence lookups with plain small-int
   keys, so hot-path cost never depends on how expensive the event's
-  ``__hash__``/``__eq__`` are.  The columns returned by
-  :meth:`raw_positions_by_id` are guaranteed to be contiguous int64 buffers
-  — ``array('q')`` for the RAM backend, ``memoryview`` columns over mmap'd
-  segments for the disk backend (:mod:`repro.db.backend`): the vectorized
-  sweep (:mod:`repro.core.sweep`) views either zero-copy with
+  ``__hash__``/``__eq__`` are.  They fetch the event's columns once per
+  call through :meth:`~InvertedEventIndex.positions_of` and then call its
+  ``get(i)`` once per sequence run — one dict probe on the RAM backend.
+  The columns are guaranteed to be contiguous int64 buffers — ``array('q')``
+  for the RAM backend, ``memoryview`` columns over mmap'd segments for the
+  disk backend (:mod:`repro.db.backend`): the vectorized sweep
+  (:mod:`repro.core.sweep`) views either zero-copy with
   ``numpy.frombuffer``, so this is a contract, not an implementation detail.
 * **Incremental maintenance** — :meth:`append_sequence` and
   :meth:`extend_sequence` grow the index in place as new data streams in:
@@ -50,7 +52,9 @@ from repro.db.backend import (
     POSITION_TYPECODE,
     Column,
     ColumnStore,
+    EventColumns,
     RamColumnStore,
+    SizeOneArrays,
     make_backend,
 )
 from repro.db.database import SequenceDatabase
@@ -189,7 +193,7 @@ class InvertedEventIndex:
         self._database = database
         self._interner = EventInterner()
         # The column store holding the sorted per-(sequence, event id)
-        # position lists; `self._get` is the hoisted hot-path accessor.
+        # position lists; `self._get` is the hoisted per-pair accessor.
         self._backend = make_backend(
             backend, directory=backend_dir, segment_bytes=segment_bytes
         )
@@ -199,10 +203,10 @@ class InvertedEventIndex:
         # small, so this stays in RAM for every backend.
         self._totals: list[int] = []
         # Memoised PositionsView wrappers, filled on first `positions()` call
-        # — the mining hot path reads `raw_positions_by_id()` and never pays
-        # for a wrapper.  Only the RAM backend's arrays grow in place (the
-        # disk backend swaps storage on overlay/seal), so only there is the
-        # wrapper safe to memoise.
+        # — the mining hot path reads columns through `positions_of()` and
+        # never pays for a wrapper.  Only the RAM backend's arrays grow in
+        # place (the disk backend swaps storage on overlay/seal), so only
+        # there is the wrapper safe to memoise.
         self._views: dict[tuple[int, Event], PositionsView] = {}
         self._memoise_views = isinstance(self._backend, RamColumnStore)
         for seq in database:
@@ -267,13 +271,23 @@ class InvertedEventIndex:
     def raw_positions_by_id(self, i: int, eid: int) -> Column | None:
         """The internal position column for ``(S_i, eid)`` or ``None``.
 
-        Hot-path accessor used by the instance-growth sweep: no bounds check,
-        no wrapper, small-int key.  The column is an ``array('q')`` (RAM
-        backend) or a ``memoryview`` cast to ``'q'`` (mmap'd segment) —
-        either way it is sorted, bisectable, buffer-protocol-compatible, and
-        must not be mutated by callers.
+        Per-pair accessor: no bounds check, no wrapper, small-int key.  The
+        column is an ``array('q')`` (RAM backend) or a ``memoryview`` cast to
+        ``'q'`` (mmap'd segment) — either way it is sorted, bisectable,
+        buffer-protocol-compatible, and must not be mutated by callers.
         """
         return self._get(i, eid)
+
+    def positions_of(self, eid: int) -> EventColumns:
+        """Event ``eid``'s columns: ``positions_of(eid).get(i)`` is
+        ``raw_positions_by_id(i, eid)``.
+
+        The instance-growth sweeps' accessor: they hoist the bound ``get``
+        once per call, so each sequence run costs one call (a dict probe on
+        the RAM backend).  Unknown ids (including :data:`NO_EVENT`) yield
+        ``None`` for every ``i``.
+        """
+        return self._backend.positions_of(eid)
 
     def next_position(self, i: int, event: Event, lowest: int) -> int:
         """The paper's ``next(S_i, e, lowest)``.
@@ -337,22 +351,16 @@ class InvertedEventIndex:
                 result.append((i, pos))
         return result
 
-    def size_one_arrays(self, event: Event) -> tuple["array[int]", "array[int]"]:
+    def size_one_arrays(self, event: Event) -> SizeOneArrays:
         """Flat ``(sequence indices, positions)`` arrays of all occurrences.
 
         Array form of :meth:`size_one_instances`, consumed directly by the
         array-backed support sets — the pairs are already in right-shift
-        order (ascending sequence index, then ascending position).
+        order (ascending sequence index, then ascending position).  The RAM
+        backend memoises them per event until the next write to that event,
+        so callers share the arrays and must never mutate them.
         """
-        eid = self._interner.id_of(event)
-        seqs = array(POSITION_TYPECODE)
-        positions = array(POSITION_TYPECODE)
-        if eid < 0:
-            return seqs, positions
-        for i, plist in self._backend.occurrences(eid):
-            seqs.extend(array(POSITION_TYPECODE, [i]) * len(plist))
-            positions.extend(plist)
-        return seqs, positions
+        return self._backend.size_one(self._interner.id_of(event))
 
     def frequent_events(self, min_sup: int) -> list[Event]:
         """Events whose total occurrence count is at least ``min_sup``, sorted.

@@ -119,15 +119,13 @@ class TestSweepBackends:
                     current.seq_indices_array,
                     current.firsts_array,
                     current.lasts_array,
-                    index.raw_positions_by_id,
-                    eid,
+                    index.positions_of(eid).get,
                 )
                 out_np = sweep._grow_triples_numpy(
                     current.seq_indices_array,
                     current.firsts_array,
                     current.lasts_array,
-                    index.raw_positions_by_id,
-                    eid,
+                    index.positions_of(eid).get,
                 )
                 assert out_np == out_py
             current = ins_grow_compressed(index, current, event)

@@ -115,6 +115,33 @@ def test_spilled_instances_equal_resident(tmp_path, miner):
         )
 
 
+def test_shared_index_memo_is_never_mutated(tmp_path):
+    """Miners share the index's memoised size-1 arrays without mutating them.
+
+    ``initial_compressed_support_set`` uses the memoised positions as its
+    ``lasts`` column and ``initial_support_set`` as its landmarks, so a
+    sweep or spill that wrote through either alias would corrupt every
+    later mine over the same index.  One seed: a budget-1 spill run writes
+    a file per frontier set, so it is the slowest mine in this suite.
+    """
+    db = _markov_db(0)
+    shared = InvertedEventIndex(db)
+    runs = [
+        lambda: CloGSgrow(MIN_SUP),
+        lambda: GSgrow(MIN_SUP, store_instances=True, constraint=GapConstraint(max_gap=2)),
+        lambda: CloGSgrow(MIN_SUP, spill_budget=1, spill_dir=str(tmp_path)),
+    ]
+    for make_miner in runs:
+        on_shared = make_miner().mine(shared)
+        on_fresh = make_miner().mine(InvertedEventIndex(db))
+        assert _instances(on_shared) == _instances(on_fresh)
+    fresh = InvertedEventIndex(db)
+    for event in fresh.alphabet():
+        assert [list(c) for c in shared.size_one_arrays(event)] == [
+            list(c) for c in fresh.size_one_arrays(event)
+        ]
+
+
 class _CountingEvent:
     """Hashable event that counts every ``__hash__`` invocation."""
 

@@ -8,6 +8,10 @@ Three layers of coverage:
   :class:`RamColumnStore` and :class:`DiskColumnStore` (with a tiny seal
   threshold, so segments, overlays and shadowing all engage) must answer
   every read API identically.
+* **Unknown ids and write invalidation** — reads of ids a store never saw
+  (including the index's negative ``NO_EVENT``) answer "absent" on both
+  stores, and every write leaves ``positions_of``/``size_one``/
+  ``occurrences`` equal to a freshly built index.
 * **Failure paths** — truncated/bad-magic/bad-version segment files,
   torn tail-journal records (crash mid-append), reopening a directory
   after a simulated crash, and the copying fallback when :mod:`mmap` is
@@ -43,8 +47,9 @@ from repro.db.backend.layout import (
     open_segment,
     write_segment,
 )
+from repro.core.compressed import sup_comp_compressed
 from repro.db.database import SequenceDatabase
-from repro.db.index import InvertedEventIndex
+from repro.db.index import NO_EVENT, InvertedEventIndex
 
 N_EVENTS = 6
 
@@ -504,3 +509,122 @@ class TestIndexOverBackends:
                 assert [list(c) for c in disk_arrays] == [list(c) for c in ram_arrays]
         finally:
             disk_index.backend.close()
+
+
+# ----------------------------------------------------------------------
+# Unknown event ids and per-event accessors
+# ----------------------------------------------------------------------
+def _ram_store(tmp_path):
+    return RamColumnStore()
+
+
+def _disk_store(tmp_path):
+    return DiskColumnStore(tmp_path / "db", segment_bytes=64)
+
+
+STORES = [pytest.param(_ram_store, id="ram"), pytest.param(_disk_store, id="disk")]
+
+
+class TestPerEventReads:
+    @pytest.mark.parametrize("make_store", STORES)
+    def test_unknown_ids_read_as_absent(self, tmp_path, make_store):
+        store = make_store(tmp_path)
+        try:
+            store.add_sequence({0: positions_array([1, 4]), 2: positions_array([2])})
+            store.add_sequence({1: positions_array([3]), 2: positions_array([1, 5])})
+            past_the_end = N_EVENTS + 3
+            for eid in (NO_EVENT, past_the_end):
+                get = store.positions_of(eid).get
+                for i in (1, 2):
+                    # An event-major list indexed with -1 would silently
+                    # return the last event's columns here.
+                    assert store.get(i, eid) is None
+                    assert get(i) is None
+                seqs, positions = store.size_one(eid)
+                assert list(seqs) == [] and list(positions) == []
+                assert list(store.occurrences(eid)) == []
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("make_store", STORES)
+    def test_positions_of_matches_get(self, tmp_path, make_store):
+        store = make_store(tmp_path)
+        try:
+            apply_ops(store, random_ops(random.Random(7)))
+            for eid in range(N_EVENTS):
+                get = store.positions_of(eid).get
+                for i in range(1, store.sequence_count() + 1):
+                    expected = store.get(i, eid)
+                    column = get(i)
+                    assert (None if column is None else list(column)) == (
+                        None if expected is None else list(expected)
+                    )
+        finally:
+            store.close()
+
+
+# ----------------------------------------------------------------------
+# Write invalidation: every write leaves the index equal to a fresh build
+# ----------------------------------------------------------------------
+def _column(index, i, event):
+    column = index.positions_of(index.event_id(event)).get(i)
+    return None if column is None else list(column)
+
+
+def _assert_matches_fresh_build(index, sequences):
+    fresh = InvertedEventIndex(SequenceDatabase(sequences))
+    events = sorted(fresh.alphabet(), key=repr)
+    assert sorted(index.alphabet(), key=repr) == events
+    for event in events:
+        assert [list(c) for c in index.size_one_arrays(event)] == [
+            list(c) for c in fresh.size_one_arrays(event)
+        ]
+        occurrences = [(i, list(c)) for i, c in index.backend.occurrences(index.event_id(event))]
+        assert occurrences == [
+            (i, list(c)) for i, c in fresh.backend.occurrences(fresh.event_id(event))
+        ]
+        assert [i for i, _ in occurrences] == sorted(i for i, _ in occurrences)
+        for i in range(1, len(sequences) + 1):
+            assert _column(index, i, event) == _column(fresh, i, event)
+    for pattern in ("ab", "ba", "abc", "cab", "az", "zz"):
+        if set(pattern) <= set(events):
+            assert sup_comp_compressed(index, pattern) == sup_comp_compressed(fresh, pattern)
+
+
+class TestWriteInvalidation:
+    @pytest.mark.parametrize("backend", ["ram", "disk"])
+    def test_writes_match_a_fresh_build(self, tmp_path, backend):
+        sequences = ["abcab", "bca"]
+        index = InvertedEventIndex(
+            SequenceDatabase(sequences),
+            backend=backend,
+            backend_dir=str(tmp_path / "db") if backend == "disk" else None,
+            segment_bytes=64 if backend == "disk" else None,
+        )
+        writes = [
+            ("append", "cab"),
+            ("extend", 3, "ab"),
+            # An older sequence gains an event it did not contain, after a
+            # newer sequence already holds that event.
+            ("extend", 2, "cbaa"),
+            # An extension whose event is interned for the first time.
+            ("extend", 1, "zb"),
+            ("append", "zaz"),
+            ("extend", 2, "z"),
+            ("append", "b"),
+            ("extend", 1, "caz"),
+        ]
+        try:
+            # Fill every memo before the first write.
+            _assert_matches_fresh_build(index, sequences)
+            for write in writes:
+                if write[0] == "append":
+                    index.append_sequence(write[1])
+                    sequences.append(write[1])
+                else:
+                    _tag, i, events = write
+                    index.extend_sequence(i, events)
+                    sequences[i - 1] += events
+                _assert_matches_fresh_build(index, sequences)
+        finally:
+            index.backend.close()
