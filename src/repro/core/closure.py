@@ -24,6 +24,14 @@ least ``sup(P)``: any extension containing a rarer event has strictly smaller
 support (Apriori), so the restriction never misses an equal-support
 extension.  This keeps the check exact.
 
+Without a gap constraint (:func:`~repro.core.constraints.apriori_holds`)
+Theorem 1 skips two more kinds of probe.  Appends ``P ∘ f`` the miner's
+sibling rule already proved infrequent (some prefix ``Q`` of ``P`` has
+``sup(Q ∘ f) < min_sup``) come in as a skip set, not an allowlist: events
+outside ``MinerConfig(events=...)`` are still probed.  And an insertion
+containing a 2-gram below ``sup(P)`` is skipped; the 2-gram table is shared
+with the DFS's depth-1 nodes (:meth:`ClosureChecker.known_supports`).
+
 Every probe the checker runs (append growth, the insert/prepend ``supComp``
 restarts, the Theorem-5 border comparison) reads only supports and last
 positions, so — as Section III-D observes — it runs on compressed
@@ -33,10 +41,12 @@ same representation the DFS carries, whatever ``store_instances`` says.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from repro.core.compressed import CompressedSupportSet
-from repro.core.constraints import GapConstraint
+from repro.core.constraints import GapConstraint, apriori_holds
 from repro.core.engine import COMPRESSED_ENGINE, SupportEngine
 from repro.core.pattern import Pattern
 from repro.db.index import InvertedEventIndex
@@ -102,14 +112,16 @@ class ClosureChecker:
         self.enable_lbcheck = enable_lbcheck
         self.constraint = constraint
         self.engine = engine
+        self._apriori = apriori_holds(constraint)
         self._event_totals: dict[Event, int] = {
             event: index.total_count(event) for event in index.alphabet()
         }
-        # Lazily memoised supports of 2-event patterns, used as an Apriori
-        # filter: any extension containing the 2-gram (a, b) has support at
-        # most sup(ab), so candidates whose neighbouring 2-grams are already
-        # below the target support can be skipped without growing them.
-        self._pair_support: dict[tuple[Event, Event], int] = {}
+        # Lazily memoised supports of 2-event patterns, ``[a][b] -> sup(ab)``,
+        # used as an Apriori filter: any extension containing the 2-gram
+        # (a, b) has support at most sup(ab), so candidates whose neighbouring
+        # 2-grams are already below the target support can be skipped
+        # without growing them.
+        self._pair_support: defaultdict[Event, dict[Event, int]] = defaultdict(dict)
 
     # ------------------------------------------------------------------
     # Public API
@@ -120,6 +132,7 @@ class ClosureChecker:
         prefix_sets: list[CompressedSupportSet],
         append_supports: dict[Event, int] | None = None,
         *,
+        known_infrequent: Collection[Event] = (),
         need_pruning: bool = True,
     ) -> ClosureDecision:
         """Run closure checking and landmark border checking for one pattern.
@@ -136,6 +149,9 @@ class ClosureChecker:
             Supports of the append extensions ``P ∘ e`` if the caller already
             computed them (CloGSgrow computes them anyway while growing the
             DFS); missing entries are computed on demand.
+        known_infrequent:
+            Events whose append ``P ∘ e`` is known to be below ``min_sup``;
+            they are not probed.
         need_pruning:
             ``False`` lets the caller skip the landmark border scan even when
             LBCheck is enabled — used at nodes whose subtree the DFS will not
@@ -151,8 +167,10 @@ class ClosureChecker:
 
         # --- Append extensions (case 1 of Definition 3.4) ------------------
         # They can reveal non-closedness but never allow border pruning.
-        append_supports = dict(append_supports or {})
+        append_supports = append_supports or {}
         for event in candidates:
+            if event in known_infrequent:
+                continue
             if event in append_supports:
                 appended_support = append_supports[event]
             else:
@@ -181,9 +199,8 @@ class ClosureChecker:
             for event in candidates:
                 # Apriori 2-gram filter: the extension contains the 2-grams
                 # (e_gap, e') and (e', e_{gap+1}); if either has support below
-                # the target, the extension cannot reach it.  (Skipped under a
-                # gap constraint, where support is not monotone in sub-patterns.)
-                if self.constraint is None:
+                # the target, the extension cannot reach it.
+                if self._apriori:
                     if self._pair_support_of(event, after) < support:
                         continue
                     if before is not None and self._pair_support_of(before, event) < support:
@@ -216,17 +233,27 @@ class ClosureChecker:
             key=repr,
         )
 
+    def known_supports(self, pattern: Pattern) -> dict[Event, int]:
+        """A writable map ``e -> sup(P ∘ e)`` of already-known append supports.
+
+        Row ``a`` of the 2-gram table for a single-event pattern ``a`` while
+        the filter is on; otherwise a fresh empty map.
+        """
+        if self._apriori and len(pattern) == 1:
+            return self._pair_support[pattern.at(1)]
+        return {}
+
     def _pair_support_of(self, first: Event, second: Event) -> int:
         """Memoised repetitive support of the 2-event pattern ``first second``."""
-        key = (first, second)
-        cached = self._pair_support.get(key)
+        row = self._pair_support[first]
+        cached = row.get(second)
         if cached is None:
             engine = self.engine
             grown = engine.grow(
                 self.index, engine.initial(self.index, first), second, constraint=self.constraint
             )
             cached = grown.support
-            self._pair_support[key] = cached
+            row[second] = cached
         return cached
 
     def _insertion_support_set(

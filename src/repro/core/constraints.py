@@ -88,3 +88,13 @@ class GapConstraint:
 
 #: The paper's default setting: any gap is allowed.
 UNCONSTRAINED = GapConstraint(0, None)
+
+
+def apriori_holds(constraint: GapConstraint | None) -> bool:
+    """Whether Theorem 1 bounds every super-pattern by its sub-patterns.
+
+    Dropping a middle event from each instance merges two gaps, which may
+    break ``max_gap``.  The miners' sibling rule and the closure checker's
+    2-gram filter rest on this bound, and both consult this one test.
+    """
+    return constraint is None

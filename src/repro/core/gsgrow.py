@@ -6,15 +6,26 @@ carries the leftmost support set of its pattern, so the support of every
 child ``P ∘ e`` is obtained with a single ``INSgrow`` call, and the Apriori
 property (Theorem 1) prunes the traversal as soon as the support drops below
 ``min_sup``.
+
+A node grows all its children before it recurses, and each child grows only
+over its frequent siblings (SPAM's S-step pruning, Ayres et al., KDD 2002):
+``P ∘ f`` is a sub-pattern of ``P ∘ e ∘ f``, so by Theorem 1 an infrequent
+``P ∘ f`` rules out ``P ∘ e ∘ f``.  Output and visited nodes are unchanged;
+``MiningStats.siblings_pruned`` counts the skipped grows.  A gap constraint
+breaks the bound (:func:`~repro.core.constraints.apriori_holds`), and every
+node then grows every root event.  Root events missing from a node's list
+are thus proved infrequent, and CloGSgrow's closure check skips them; events
+outside the root list (``MinerConfig(events=...)``) were never tried and are
+still probed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from collections.abc import Callable, Iterable, Iterator, Sequence as PySequence
 
 from repro.core.compressed import CompressedSupportSet
-from repro.core.constraints import GapConstraint
+from repro.core.constraints import GapConstraint, apriori_holds
 from repro.core.engine import COMPRESSED_ENGINE, FULL_LANDMARK_ENGINE, SupportEngine
 from repro.core.results import MinedPattern, MiningResult
 from repro.core.support import SupportSet
@@ -114,7 +125,9 @@ class MiningStats:
     nodes_pruned_lbcheck: int = 0
     closure_checks: int = 0
     extension_evaluations: int = 0
-    cache_evictions: int = 0
+    #: Child extensions not grown because Theorem 1 proves them infrequent:
+    #: the sibling rule's, and 2-grams the closure checker already knows.
+    siblings_pruned: int = 0
     #: Wall-clock (monotonic) seconds per mining phase: ``prepare`` (index +
     #: candidate events + closure-checker build), ``dfs`` (the traversal)
     #: and ``total``.
@@ -122,19 +135,9 @@ class MiningStats:
 
     def as_dict(self) -> dict:
         """Counters plus phase durations, keys sorted for stable serialization."""
-        return {
-            "cache_evictions": self.cache_evictions,
-            "closure_checks": self.closure_checks,
-            "extension_evaluations": self.extension_evaluations,
-            "ins_grow_calls": self.ins_grow_calls,
-            "nodes_pruned_infrequent": self.nodes_pruned_infrequent,
-            "nodes_pruned_lbcheck": self.nodes_pruned_lbcheck,
-            "nodes_visited": self.nodes_visited,
-            "patterns_reported": self.patterns_reported,
-            "phase_seconds": {
-                phase: self.phase_seconds[phase] for phase in sorted(self.phase_seconds)
-            },
-        }
+        out = {name: getattr(self, name) for name in sorted(f.name for f in fields(self))}
+        out["phase_seconds"] = {p: self.phase_seconds[p] for p in sorted(self.phase_seconds)}
+        return out
 
 
 class GSgrow:
@@ -156,6 +159,8 @@ class GSgrow:
         self.stats = MiningStats()
         self.obs = obs if obs is not None else MetricsRegistry()
         self._engine: SupportEngine = COMPRESSED_ENGINE
+        self._apriori = True
+        self._root_events: frozenset[Event] = frozenset()
 
     # ------------------------------------------------------------------
     # Public API
@@ -211,6 +216,8 @@ class GSgrow:
         try:
             self._prepare(index)
             events = self._candidate_events(index)
+            self._root_events = frozenset(events)
+            self._apriori = apriori_holds(self.config.constraint)
             self.stats.phase_seconds["prepare"] = clock() - started
             dfs_started = clock()
             budget = self.config.max_patterns
@@ -276,7 +283,7 @@ class GSgrow:
             obs.counter("mine.nodes_pruned_lbcheck").inc(stats.nodes_pruned_lbcheck)
             obs.counter("mine.closure_checks").inc(stats.closure_checks)
             obs.counter("mine.extension_evaluations").inc(stats.extension_evaluations)
-            obs.counter("mine.cache_evictions").inc(stats.cache_evictions)
+            obs.counter("mine.siblings_pruned").inc(stats.siblings_pruned)
             for phase, seconds in stats.phase_seconds.items():
                 obs.histogram(f"mine.phase.{phase}.seconds").observe(seconds)  # reprolint: disable=RL008 -- phases are the fixed prepare/dfs/total set MiningStats records, each expanding to a conformant name
 
@@ -290,23 +297,21 @@ class GSgrow:
         events: list[Event],
         prefix_sets: list[CompressedSupportSet],
     ) -> Iterator[MinedPattern]:
-        """Recursive DFS over the pattern space (lines 6–10 of Algorithm 3)."""
+        """Recursive DFS over the pattern space (lines 6–10 of Algorithm 3).
+
+        ``events`` are the root events at depth 1 or under a gap constraint,
+        otherwise the parent's frequent extensions (the sibling rule).
+        """
         self.stats.nodes_visited += 1
         if support_set.support < self.config.min_sup:
             self.stats.nodes_pruned_infrequent += 1
             return
-        if self._accept(support_set, index, prefix_sets, events):
+        report, children = self._expand(index, support_set, events, prefix_sets)
+        if report:
             yield MinedPattern(pattern=support_set.pattern, support=support_set.support)
-        if self._should_stop_growing(support_set, index, prefix_sets, events):
-            return
-        if self.config.max_length is not None and len(support_set.pattern) >= self.config.max_length:
-            return
-        for event in events:
-            grown = self._grow_child(index, support_set, event)
-            if grown.support < self.config.min_sup:
-                self.stats.nodes_pruned_infrequent += 1
-                continue
-            yield from self._mine_fre(index, grown, events, prefix_sets + [grown])
+        siblings = [event for event, _ in children] if self._apriori else events
+        for _, grown in children:
+            yield from self._mine_fre(index, grown, siblings, prefix_sets + [grown])
 
     # ------------------------------------------------------------------
     # Hooks overridden by CloGSgrow
@@ -314,36 +319,57 @@ class GSgrow:
     def _prepare(self, index: InvertedEventIndex) -> None:
         """Per-run setup before the DFS starts (CloGSgrow builds its checker here)."""
 
-    def _grow_child(
-        self, index: InvertedEventIndex, support_set: CompressedSupportSet, event: Event
-    ) -> CompressedSupportSet:
-        """Compute the support set of ``P ∘ e`` (CloGSgrow reuses cached ones)."""
-        self.stats.ins_grow_calls += 1
-        return self._engine.grow(index, support_set, event, constraint=self.config.constraint)
-
-    def _accept(
+    def _expand(
         self,
-        support_set: CompressedSupportSet,
         index: InvertedEventIndex,
-        prefix_sets: list[CompressedSupportSet],
-        events: list[Event],
-    ) -> bool:
-        """Whether to report the (frequent) pattern of ``support_set``."""
-        return True
-
-    def _should_stop_growing(
-        self,
         support_set: CompressedSupportSet,
-        index: InvertedEventIndex,
-        prefix_sets: list[CompressedSupportSet],
         events: list[Event],
-    ) -> bool:
-        """Whether the DFS subtree below this pattern can be pruned."""
-        return False
+        prefix_sets: list[CompressedSupportSet],
+    ) -> tuple[bool, list[tuple[Event, CompressedSupportSet]]]:
+        """``(report this node?, frequent (e, P ∘ e) children to enter)``."""
+        if self._at_cap(support_set):
+            return True, []
+        return True, self._grow_children(index, support_set, events, {})
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+    def _at_cap(self, support_set: CompressedSupportSet) -> bool:
+        cap = self.config.max_length
+        return cap is not None and len(support_set.pattern) >= cap
+
+    def _grow_children(
+        self,
+        index: InvertedEventIndex,
+        support_set: CompressedSupportSet,
+        events: list[Event],
+        supports: dict[Event, int],
+    ) -> list[tuple[Event, CompressedSupportSet]]:
+        """Grow ``P ∘ e`` for each event of ``events``; return the frequent ones.
+
+        ``supports`` holds known supports of ``P ∘ e``: known-infrequent
+        events are skipped and every grown support is written back.
+        """
+        min_sup = self.config.min_sup
+        constraint = self.config.constraint
+        engine = self._engine
+        stats = self.stats
+        stats.siblings_pruned += len(self._root_events) - len(events)
+        children = []
+        for event in events:
+            known = supports.get(event)
+            if known is not None and known < min_sup:
+                stats.siblings_pruned += 1
+                continue
+            stats.ins_grow_calls += 1
+            grown = engine.grow(index, support_set, event, constraint=constraint)
+            supports[event] = grown.support
+            if grown.support < min_sup:
+                stats.nodes_pruned_infrequent += 1
+            else:
+                children.append((event, grown))
+        return children
+
     def _candidate_events(self, index: InvertedEventIndex) -> list[Event]:
         if self.config.events is not None:
             return sorted(set(self.config.events), key=repr)

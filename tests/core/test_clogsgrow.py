@@ -1,11 +1,16 @@
 """Tests for the CloGSgrow closed-pattern miner (Algorithm 4)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.clogsgrow import CloGSgrow, mine_closed
-from repro.core.gsgrow import mine_all
+from repro.core.constraints import GapConstraint
+from repro.core.engine import SupportEngine
+from repro.core.gsgrow import GSgrow, mine_all
 from repro.core.pattern import Pattern
 from repro.core.reference import closed_patterns_bruteforce
+from repro.datagen.markov import MarkovSequenceGenerator
 from repro.db.database import SequenceDatabase
 
 
@@ -121,15 +126,51 @@ class TestOptions:
         assert closed.as_dict() == {Pattern("ABC"): 3}
 
 
-class TestCacheEviction:
-    def test_tiny_cache_limit_preserves_output_and_live_path(self, table3):
-        # Force evictions at every node: output must be unchanged, and because
-        # eviction spares the live DFS path, each child is instance-grown at
-        # most once per visit of its parent (no recomputation thrash).
-        reference = CloGSgrow(2)
-        unbounded = reference.mine(table3)
+class TestChildHandOver:
+    """Each node's grown children go straight to the DFS loop.
 
-        squeezed = CloGSgrow(2)
-        squeezed.cache_limit = 0
-        assert squeezed.mine(table3).as_dict() == unbounded.as_dict()
-        assert squeezed.stats.ins_grow_calls == reference.stats.ins_grow_calls
+    So within one run no ``(node, event)`` child is grown twice, and every
+    DFS growth call is one ``ins_grow_calls`` tick.
+    """
+
+    @staticmethod
+    def _spy_on_dfs_growth(monkeypatch) -> Counter:
+        grown: Counter = Counter()
+        original = GSgrow._grow_children
+
+        def spy(miner, index, support_set, events, supports):
+            engine = miner._engine
+
+            def grow(index, parent, event, constraint=None):
+                grown[parent.pattern.events, event] += 1
+                return engine.grow(index, parent, event, constraint=constraint)
+
+            miner._engine = SupportEngine("spy", engine.initial, grow)
+            try:
+                return original(miner, index, support_set, events, supports)
+            finally:
+                miner._engine = engine
+
+        monkeypatch.setattr(GSgrow, "_grow_children", spy)
+        return grown
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"enable_lbcheck": False}, {"max_length": 3}, {"constraint": GapConstraint(0, 2)}],
+        ids=["default", "no_lbcheck", "cap3", "max_gap"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_child_is_grown_twice(self, monkeypatch, seed, kwargs):
+        db = MarkovSequenceGenerator(
+            num_sequences=8, num_events=7, average_length=18.0, concentration=4.0, seed=seed
+        ).generate()
+        reference = CloGSgrow(5, **kwargs).mine(db)
+        grown = self._spy_on_dfs_growth(monkeypatch)
+        miner = CloGSgrow(5, **kwargs)
+        assert miner.mine(db).as_dict() == reference.as_dict()
+        assert grown and max(grown.values()) == 1
+        assert sum(grown.values()) == miner.stats.ins_grow_calls
+        if "constraint" in kwargs:
+            assert miner.stats.siblings_pruned == 0
+        elif not kwargs:
+            assert miner.stats.siblings_pruned > 0
